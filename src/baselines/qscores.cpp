@@ -35,25 +35,31 @@ QsCoresFlow::QsCoresFlow(const analysis::WPst& wpst,
     : model_(wpst, profile, tech, scanChainTiming(),
              restrictedParams(mode, cancel)) {}
 
-std::vector<select::Solution> QsCoresFlow::paretoFront(
-    double areaBudgetUm2, double clockRatio,
-    select::SelectMode mode) const {
+select::SelectorParams QsCoresFlow::selectorParams(
+    double areaBudgetUm2, double clockRatio, select::SelectMode mode) const {
   select::SelectorParams params;
   params.areaBudgetUm2 = areaBudgetUm2;
   params.clockRatio = clockRatio;
   params.mode = mode;
-  select::CandidateSelector selector(model_, params);
+  // The token the flow was built with, so a deadline interrupts the
+  // baseline DP at every region exactly as it does Cayman's.
+  params.cancel = model_.params().cancel;
+  return params;
+}
+
+std::vector<select::Solution> QsCoresFlow::paretoFront(
+    double areaBudgetUm2, double clockRatio,
+    select::SelectMode mode) const {
+  select::CandidateSelector selector(
+      model_, selectorParams(areaBudgetUm2, clockRatio, mode));
   select::CandidateSelector::Stats stats;
   return selector.select(stats);
 }
 
 select::Solution QsCoresFlow::best(double areaBudgetUm2, double clockRatio,
                                    select::SelectMode mode) const {
-  select::SelectorParams params;
-  params.areaBudgetUm2 = areaBudgetUm2;
-  params.clockRatio = clockRatio;
-  params.mode = mode;
-  select::CandidateSelector selector(model_, params);
+  select::CandidateSelector selector(
+      model_, selectorParams(areaBudgetUm2, clockRatio, mode));
   select::CandidateSelector::Stats stats;
   return selector.best(stats);
 }

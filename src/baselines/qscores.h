@@ -39,6 +39,11 @@ class QsCoresFlow {
   const accel::AcceleratorModel& model() const { return model_; }
 
  private:
+  /// Selector parameters for one call; default α and prune fraction.
+  select::SelectorParams selectorParams(double areaBudgetUm2,
+                                        double clockRatio,
+                                        select::SelectMode mode) const;
+
   accel::AcceleratorModel model_;
 };
 

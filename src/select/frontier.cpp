@@ -93,40 +93,45 @@ std::vector<FrontierEntry> pareto(std::vector<FrontierEntry> entries) {
               if (a.areaUm2 != b.areaUm2) return a.areaUm2 < b.areaUm2;
               return a.savedCycles > b.savedCycles;
             });
-  std::vector<FrontierEntry> front;
+  // Compact the survivors to the front of the sorted input: slot `kept` is
+  // never ahead of the entry being read, so no survivor is overwritten.
+  const size_t total = entries.size();
+  size_t kept = 0;
   double bestSaved = -1e300;
-  for (const FrontierEntry& entry : entries) {
-    bool keep =
-        entry.empty() ? front.empty() : entry.savedCycles > bestSaved;
+  for (size_t i = 0; i < total; ++i) {
+    const FrontierEntry entry = entries[i];
+    bool keep = entry.empty() ? kept == 0 : entry.savedCycles > bestSaved;
     if (!keep) continue;
     bestSaved = std::max(bestSaved, entry.savedCycles);
-    front.push_back(entry);
+    entries[kept++] = entry;
   }
-  if (support::trace::on() && front.size() < entries.size()) {
-    support::trace::count("select.pareto_dropped",
-                          entries.size() - front.size());
+  entries.resize(kept);
+  if (support::trace::on() && kept < total) {
+    support::trace::count("select.pareto_dropped", total - kept);
   }
-  assert(isStrictFront(front) && "pareto() front not strictly monotone");
-  return front;
+  assert(isStrictFront(entries) && "pareto() front not strictly monotone");
+  return entries;
 }
 
 std::vector<FrontierEntry> filterByAlpha(std::vector<FrontierEntry> entries,
                                          double alpha) {
   if (entries.size() <= 2 || alpha <= 1.0) return entries;
-  std::vector<FrontierEntry> kept;
-  kept.push_back(entries.front());
-  for (size_t i = 1; i + 1 < entries.size(); ++i) {
-    double previousArea = kept.back().areaUm2;
+  // In-place compaction, as in pareto(): the first and last entries always
+  // survive, interior ones only past α times the last kept area.
+  const size_t total = entries.size();
+  size_t kept = 1;
+  for (size_t i = 1; i + 1 < total; ++i) {
+    double previousArea = entries[kept - 1].areaUm2;
     if (entries[i].areaUm2 > alpha * std::max(previousArea, 1.0)) {
-      kept.push_back(entries[i]);
+      entries[kept++] = entries[i];
     }
   }
-  kept.push_back(entries.back());
-  if (support::trace::on() && kept.size() < entries.size()) {
-    support::trace::count("select.alpha_dropped",
-                          entries.size() - kept.size());
+  entries[kept++] = entries[total - 1];
+  entries.resize(kept);
+  if (support::trace::on() && kept < total) {
+    support::trace::count("select.alpha_dropped", total - kept);
   }
-  return kept;
+  return entries;
 }
 
 std::vector<FrontierEntry> combine(const std::vector<FrontierEntry>& a,

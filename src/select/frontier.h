@@ -8,12 +8,15 @@
 // trivially-copyable scalar record — (area, accelerator cycles, CPU cycles)
 // plus the cached saved-cycles value — and a node reference into a
 // per-selection arena. Merging two records is O(1): sum the scalars and
-// allocate one 12-byte arena node pointing at the operands' nodes. Full
-// AcceleratorConfig lists are materialized only for the final surviving
-// front by an in-order walk of the arena (left subtree before right), which
-// reproduces exactly Solution::merge's concatenation order. Reconstruction
-// iterates arena nodes in allocation order — never pointer-keyed maps — so
-// it is deterministic across runs and jobs counts.
+// allocate one 12-byte arena node pointing at the operands' nodes. pareto()
+// and filterByAlpha() compact the vector they are handed in place, so each ⊗
+// combine allocates one vector. Full AcceleratorConfig lists are
+// materialized only for the root-front entries the caller keeps — the whole
+// front for select(), the single winning entry for best(), chosen on the
+// scalar records — by an in-order walk of the arena (left subtree before
+// right), which reproduces exactly Solution::merge's concatenation order.
+// Reconstruction iterates arena nodes in allocation order — never
+// pointer-keyed maps — so it is deterministic across runs and jobs counts.
 //
 // Bit-exactness contract with SelectMode::Reference: every scalar is
 // accumulated through the same additions in the same order as
@@ -89,11 +92,12 @@ FrontierEntry mergeEntries(const FrontierEntry& x, const FrontierEntry& y,
 
 /// pareto() over frontier entries — same algorithm, comparator semantics
 /// and trace counter as the Solution overload, minus the per-comparison
-/// savedCycles recomputation (it is cached in the entry).
+/// savedCycles recomputation (it is cached in the entry). Compacts and
+/// returns `entries` itself rather than building a second vector.
 std::vector<FrontierEntry> pareto(std::vector<FrontierEntry> entries);
 
 /// filterByAlpha() over frontier entries — same algorithm and trace counter
-/// as the Solution overload.
+/// as the Solution overload; compacts `entries` in place like pareto().
 std::vector<FrontierEntry> filterByAlpha(std::vector<FrontierEntry> entries,
                                          double alpha);
 

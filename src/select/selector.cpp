@@ -1,6 +1,7 @@
 #include "select/selector.h"
 
 #include <cassert>
+#include <utility>
 
 #include "support/error.h"
 #include "support/trace.h"
@@ -16,6 +17,28 @@ namespace {
 /// same program points, so the stat is mode-independent).
 void notePeak(CandidateSelector::Stats& stats, size_t frontSize) {
   if (frontSize > stats.frontPeak) stats.frontPeak = frontSize;
+}
+
+/// best()'s choice rule: the first element whose saved cycles strictly
+/// exceed 0.0 and every earlier element's. Shrinks `front` to that element,
+/// or empties it when no element saves a cycle.
+template <typename T, typename SavedFn>
+void keepWinner(std::vector<T>& front, SavedFn saved) {
+  size_t winner = front.size();
+  double bestSaved = 0.0;
+  for (size_t i = 0; i < front.size(); ++i) {
+    double s = saved(front[i]);
+    if (s > bestSaved) {
+      bestSaved = s;
+      winner = i;
+    }
+  }
+  if (winner == front.size()) {
+    front.clear();
+    return;
+  }
+  std::swap(front.front(), front[winner]);
+  front.resize(1);
 }
 
 }  // namespace
@@ -172,7 +195,8 @@ std::vector<FrontierEntry> CandidateSelector::dpFrontier(
   return front;
 }
 
-std::vector<Solution> CandidateSelector::select(Stats& stats) const {
+std::vector<Solution> CandidateSelector::run(Stats& stats,
+                                             bool bestOnly) const {
   stats = Stats{};
   // Candidate generation first, outside the span: it is memoized model work
   // shared by every budget sweep and both DP engines, and folding its cold
@@ -185,12 +209,22 @@ std::vector<Solution> CandidateSelector::select(Stats& stats) const {
   std::vector<Solution> front;
   if (params_.mode == SelectMode::Reference) {
     front = dpReference(model_.wpst().root(), lists, stats);
+    if (bestOnly) {
+      keepWinner(front, [this](const Solution& s) {
+        return s.savedCycles(params_.clockRatio);
+      });
+    }
   } else {
     SolutionArena arena;
     std::vector<FrontierEntry> entries =
         dpFrontier(model_.wpst().root(), lists, stats, arena);
     assert(arena.nodeCount() == stats.arenaNodes() &&
            "arena grew out of step with the leaf/pair counters");
+    // Decide on the scalar records, then deep-copy only what is kept.
+    if (bestOnly) {
+      keepWinner(entries,
+                 [](const FrontierEntry& e) { return e.savedCycles; });
+    }
     front.reserve(entries.size());
     for (const FrontierEntry& entry : entries) {
       front.push_back(materialize(entry, arena));
@@ -211,18 +245,13 @@ std::vector<Solution> CandidateSelector::select(Stats& stats) const {
   return front;
 }
 
+std::vector<Solution> CandidateSelector::select(Stats& stats) const {
+  return run(stats, /*bestOnly=*/false);
+}
+
 Solution CandidateSelector::best(Stats& stats) const {
-  std::vector<Solution> front = select(stats);
-  Solution bestSolution;
-  double bestSaved = 0.0;
-  for (Solution& s : front) {
-    double saved = s.savedCycles(params_.clockRatio);
-    if (saved > bestSaved) {
-      bestSaved = saved;
-      bestSolution = std::move(s);
-    }
-  }
-  return bestSolution;
+  std::vector<Solution> winner = run(stats, /*bestOnly=*/true);
+  return winner.empty() ? Solution{} : std::move(winner.front());
 }
 
 }  // namespace cayman::select

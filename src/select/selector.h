@@ -74,7 +74,10 @@ class CandidateSelector {
   /// synchronized; the selector itself holds no mutable state).
   std::vector<Solution> select(Stats& stats) const;
 
-  /// The single best solution under the budget (from select()).
+  /// The single best solution under the budget: the first entry of F[root]
+  /// whose saved cycles strictly exceed 0.0 and every earlier entry's, or
+  /// the empty solution when none saves a cycle. Same DP, span and counters
+  /// as select(), but the Frontier engine materializes only that entry.
   Solution best(Stats& stats) const;
 
   /// Convenience wrappers recording into the selector-owned stats block.
@@ -115,6 +118,12 @@ class CandidateSelector {
   /// traversal exactly, so a miss is a traversal bug, not a data condition.
   static const std::vector<accel::AcceleratorConfig>& candidatesFor(
       const CandidateLists& lists, const analysis::Region* region);
+
+  /// Algorithm 1 from the root, shared by select() and best(): resets
+  /// `stats`, runs the pre-pass, then the DP inside the select.dp span, and
+  /// emits the select.* counters. Returns the whole root front, or — with
+  /// `bestOnly` — just best()'s winner (empty when nothing saves a cycle).
+  std::vector<Solution> run(Stats& stats, bool bestOnly) const;
 
   std::vector<Solution> dpReference(const analysis::Region* region,
                                     const CandidateLists& lists,

@@ -93,5 +93,20 @@ TEST(QsCoresTest, StillBeatsPlainCpuSometimes) {
   EXPECT_GT(best.speedup(p.profile.totalCycles(), ratio), 1.0);
 }
 
+TEST(QsCoresTest, SelectionHonoursTheFlowsCancelToken) {
+  // Warm the generate cache first, so the only cancellation checkpoints
+  // left are the ones in the selector DP itself.
+  BaselinePipeline p(workloads::build("atax"));
+  support::CancelToken token;
+  QsCoresFlow qscores(p.wpst, p.profile, p.tech, accel::GenerateMode::Guided,
+                      &token);
+  select::Solution warm = qscores.best(5e5);
+  EXPECT_FALSE(warm.empty());
+
+  token.cancel();
+  EXPECT_THROW(qscores.best(5e5), support::CancelledError);
+  EXPECT_THROW(qscores.paretoFront(5e5), support::CancelledError);
+}
+
 }  // namespace
 }  // namespace cayman::baselines

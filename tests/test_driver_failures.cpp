@@ -70,6 +70,22 @@ TEST(DriverFailureTest, FailAfterStageOptionInjectsEverywhere) {
   }
 }
 
+TEST(DriverFailureTest, BaselinesStageHasItsOwnName) {
+  // The NOVIA/QsCores flows run in their own stage after merge, so a fault
+  // there is reported as `baselines`, not as Cayman's `select`.
+  FrameworkOptions options;
+  options.failAfterStage = Stage::Baselines;
+  std::vector<WorkloadEvaluation> evaluations =
+      evaluateWorkloads(kNames, kBudget, 2, options);
+  ASSERT_EQ(evaluations.size(), kNames.size());
+  for (const WorkloadEvaluation& evaluation : evaluations) {
+    ASSERT_FALSE(evaluation.ok());
+    EXPECT_EQ(evaluation.failure->stage, Stage::Baselines);
+    EXPECT_NE(formatEvaluationLine(evaluation).find("FAILED baselines:"),
+              std::string::npos);
+  }
+}
+
 TEST(DriverFailureTest, ParseStageInjection) {
   FrameworkOptions options;
   options.failAfterStage = Stage::Parse;

@@ -1,6 +1,7 @@
 // Differential tests pinning SelectMode::Frontier to the
-// SelectMode::Reference oracle: bit-exact front equivalence over all 28
-// registered workloads across budgets and alphas, plus seeded
+// SelectMode::Reference oracle: bit-exact front, best() and stats
+// equivalence over all 28 registered workloads across budgets and alphas,
+// for Cayman's model and the QsCores baseline's, plus seeded
 // randomized-front combine equivalence. The frontier DP is only allowed to
 // be faster — never different.
 #include <gtest/gtest.h>
@@ -36,47 +37,92 @@ void expectSameStats(const CandidateSelector::Stats& a,
   EXPECT_EQ(a.frontPeak, b.frontPeak) << context;
 }
 
+/// best()'s contract restated on a materialized front: the first solution
+/// whose saved cycles strictly exceed 0.0 and every earlier one's, or the
+/// empty solution when none saves a cycle.
+Solution firstStrictMax(const std::vector<Solution>& front,
+                        double clockRatio) {
+  Solution winner;
+  double bestSaved = 0.0;
+  for (const Solution& s : front) {
+    if (s.savedCycles(clockRatio) > bestSaved) {
+      bestSaved = s.savedCycles(clockRatio);
+      winner = s;
+    }
+  }
+  return winner;
+}
+
+/// Runs both engines' select() and best() on `model` and requires fronts,
+/// winners and stats to agree bit for bit, with each engine's best() equal
+/// to the first strict maximum of its own select() front.
+void expectEnginesAgree(const accel::AcceleratorModel& model,
+                        SelectorParams params, const std::string& context) {
+  params.mode = SelectMode::Frontier;
+  CandidateSelector frontier(model, params);
+  params.mode = SelectMode::Reference;
+  CandidateSelector reference(model, params);
+
+  CandidateSelector::Stats frontierStats;
+  CandidateSelector::Stats referenceStats;
+  std::vector<Solution> frontierFront = frontier.select(frontierStats);
+  std::vector<Solution> referenceFront = reference.select(referenceStats);
+  ASSERT_EQ(frontierFront.size(), referenceFront.size()) << context;
+  for (size_t i = 0; i < frontierFront.size(); ++i) {
+    expectBitExact(frontierFront[i], referenceFront[i],
+                   context + " index " + std::to_string(i));
+  }
+  expectSameStats(frontierStats, referenceStats, context);
+
+  // best() reruns the DP: its stats must match select()'s as well as the
+  // other engine's.
+  CandidateSelector::Stats frontierBestStats;
+  CandidateSelector::Stats referenceBestStats;
+  Solution frontierBest = frontier.best(frontierBestStats);
+  Solution referenceBest = reference.best(referenceBestStats);
+  expectBitExact(frontierBest, referenceBest, context + " best");
+  expectSameStats(frontierBestStats, referenceBestStats, context + " best");
+  expectSameStats(frontierBestStats, frontierStats,
+                  context + " best vs select");
+  const double ratio = params.clockRatio;
+  expectBitExact(frontierBest, firstStrictMax(frontierFront, ratio),
+                 context + " frontier best vs front");
+  expectBitExact(referenceBest, firstStrictMax(referenceFront, ratio),
+                 context + " reference best vs front");
+}
+
 // Every workload, several budgets, several alphas: the full Algorithm 1
-// output (front, solution contents, stats) must agree bit for bit.
+// output (front, best solution, stats) must agree bit for bit — for
+// Cayman's model and for the QsCores baseline's restricted model, which
+// runs the same DP on every evaluation.
 TEST(SelectDifferentialTest, FrontierMatchesReferenceOnAllWorkloads) {
   for (const workloads::WorkloadInfo& info : workloads::all()) {
     Framework fw(info.build());
+    const double ratio = fw.options().clockRatio();
     for (double budgetRatio : {0.05, 0.25, 0.65}) {
+      const double budget = fw.budgetUm2(budgetRatio);
+      const std::string at =
+          info.name + " budget " + std::to_string(budgetRatio);
       for (double alpha : {1.02, 1.12, 1.5}) {
         SelectorParams params;
-        params.areaBudgetUm2 = fw.budgetUm2(budgetRatio);
+        params.areaBudgetUm2 = budget;
         params.alpha = alpha;
-        params.clockRatio = fw.options().clockRatio();
-        std::string context = info.name + " budget " +
-                              std::to_string(budgetRatio) + " alpha " +
-                              std::to_string(alpha);
-
-        params.mode = SelectMode::Frontier;
-        CandidateSelector frontier(fw.model(), params);
-        CandidateSelector::Stats frontierStats;
-        std::vector<Solution> frontierFront = frontier.select(frontierStats);
-
-        params.mode = SelectMode::Reference;
-        CandidateSelector reference(fw.model(), params);
-        CandidateSelector::Stats referenceStats;
-        std::vector<Solution> referenceFront =
-            reference.select(referenceStats);
-
-        ASSERT_EQ(frontierFront.size(), referenceFront.size()) << context;
-        for (size_t i = 0; i < frontierFront.size(); ++i) {
-          expectBitExact(frontierFront[i], referenceFront[i],
-                         context + " index " + std::to_string(i));
-        }
-        expectSameStats(frontierStats, referenceStats, context);
-
-        params.mode = SelectMode::Frontier;
-        Solution frontierBest =
-            CandidateSelector(fw.model(), params).best(frontierStats);
-        params.mode = SelectMode::Reference;
-        Solution referenceBest =
-            CandidateSelector(fw.model(), params).best(referenceStats);
-        expectBitExact(frontierBest, referenceBest, context + " best");
+        params.clockRatio = ratio;
+        expectEnginesAgree(fw.model(), params,
+                           at + " alpha " + std::to_string(alpha));
       }
+
+      // QsCores' selector parameters: its budget and clock ratio, default
+      // alpha and prune fraction.
+      SelectorParams qscoresParams;
+      qscoresParams.areaBudgetUm2 = budget;
+      qscoresParams.clockRatio = ratio;
+      expectEnginesAgree(fw.qscores().model(), qscoresParams,
+                         at + " qscores");
+      expectBitExact(
+          fw.qscores().best(budget, ratio, SelectMode::Frontier),
+          fw.qscores().best(budget, ratio, SelectMode::Reference),
+          at + " qscores flow best");
     }
   }
 }
