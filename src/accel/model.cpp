@@ -39,21 +39,6 @@ struct ColdInflightScope {
   }
 };
 
-/// While a region generates cold under the persistent cache, its schedule-
-/// cache insertions are logged here for the region's record. Thread-local:
-/// one region's generation runs entirely on one thread, so concurrent cold
-/// regions log independently without sharing a guarded model-wide log.
-thread_local std::vector<CachedSchedule>* t_schedInsertLog = nullptr;
-
-struct SchedLogScope {
-  std::vector<CachedSchedule>* previous;
-  explicit SchedLogScope(std::vector<CachedSchedule>* log)
-      : previous(t_schedInsertLog) {
-    t_schedInsertLog = log;
-  }
-  ~SchedLogScope() { t_schedInsertLog = previous; }
-};
-
 }  // namespace
 
 int64_t coldGenerationInflightPeak() {
@@ -248,117 +233,46 @@ hls::IfaceAssignment AcceleratorModel::assignInterfaces(
   return assignment;
 }
 
-AcceleratorModel::GenerateShard& AcceleratorModel::shardFor(
-    const Region* region) const {
-  size_t h = std::hash<const Region*>{}(region);
-  h ^= h >> 9;  // pointers are aligned; fold the live bits into the index
-  return generateShards_[h % kGenerateShards];
-}
-
 AcceleratorModel::SchedStripe& AcceleratorModel::stripeFor(
     const ir::BasicBlock* block) const {
   size_t h = std::hash<const ir::BasicBlock*>{}(block);
-  h ^= h >> 9;
+  h ^= h >> 9;  // pointers are aligned; fold the live bits into the index
   return schedStripes_[h % kSchedStripes];
 }
 
 AcceleratorModel::Claim AcceleratorModel::claimEntry(const Region* region,
                                                      bool wait) const {
-  GenerateShard& shard = shardFor(region);
-  std::unique_lock<std::mutex> lock(shard.mutex);
+  std::unique_lock<std::mutex> lock(generateMutex_);
   while (true) {
-    auto [it, inserted] = shard.entries.try_emplace(region);
+    auto [it, inserted] = generateEntries_.try_emplace(region);
     if (inserted) return Claim{&it->second, ClaimKind::Claimed};
     if (it->second.done) return Claim{&it->second, ClaimKind::Hit};
     if (!wait) return Claim{nullptr, ClaimKind::Running};
     // The latch owner finalizes (or abandons, on failure) under this mutex
     // and notifies; spurious wakeups just re-run the lookup.
-    shard.ready.wait(lock);
+    generateReady_.wait(lock);
   }
 }
 
 const std::vector<AcceleratorConfig>& AcceleratorModel::finalizeEntry(
-    const Region* region, GenerateEntry* entry,
-    std::vector<AcceleratorConfig> configs) const {
-  GenerateShard& shard = shardFor(region);
-  std::lock_guard<std::mutex> lock(shard.mutex);
+    GenerateEntry* entry, std::vector<AcceleratorConfig> configs) const {
+  std::lock_guard<std::mutex> lock(generateMutex_);
   entry->configs = std::move(configs);
   entry->done = true;
-  shard.ready.notify_all();
+  generateReady_.notify_all();
   return entry->configs;
 }
 
 void AcceleratorModel::abandonEntry(const Region* region) const {
-  GenerateShard& shard = shardFor(region);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.entries.erase(region);
-  shard.ready.notify_all();
-}
-
-void AcceleratorModel::replayDiskHit(const CachedRegion& hit) const {
-  // Replay the cold generation's observable side effects. The schedule cache
-  // gains this region's insertions now, at hit time, so interleaved warm and
-  // cold regions see exactly the cache states they saw when the snapshot was
-  // recorded — later cold regions' hit/miss counts (and so sched.block_calls)
-  // stay byte-identical.
-  for (const CachedSchedule& sched : hit.schedInserts) {
-    SchedStripe& stripe = stripeFor(sched.block);
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    SchedBucket& bucket =
-        stripe.buckets
-            .try_emplace(std::make_pair(sched.block, sched.width),
-                         SigLess{&sigComparisons_})
-            .first->second;
-    bucket.try_emplace(sched.signature, sched.schedule);
-  }
-  // Counter deltas mirror the cold emission discipline: estimate and
-  // schedule counts appear only when nonzero (cold emits one count per
-  // call), candidates_total unconditionally (cold emits it once per full
-  // generateUncached).
-  if (hit.estimateCalls > 0) {
-    estimateCalls_.fetch_add(hit.estimateCalls, std::memory_order_relaxed);
-    support::trace::count("model.estimate_calls", hit.estimateCalls);
-  }
-  scheduler_.creditBlockCalls(hit.schedBlockCalls);
-  candidatesTotal_.fetch_add(hit.configs.size(), std::memory_order_relaxed);
-  support::trace::count("model.candidates_total", hit.configs.size());
+  std::lock_guard<std::mutex> lock(generateMutex_);
+  generateEntries_.erase(region);
+  generateReady_.notify_all();
 }
 
 const std::vector<AcceleratorConfig>& AcceleratorModel::generateCold(
     const Region* region, GenerateEntry* entry) const {
   try {
-    if (diskEligible(region)) {
-      if (const CachedRegion* hit = persistentCache_->find(region)) {
-        replayDiskHit(*hit);
-        return finalizeEntry(region, entry,
-                             std::vector<AcceleratorConfig>(hit->configs));
-      }
-      // Disk miss: generate cold under a thread-local counter capture and
-      // schedule-insert log, then replay the captured counts into the
-      // ambient scope — same totals as counting directly, but the recorded
-      // deltas belong to this region alone even while other regions
-      // generate concurrently on sibling threads.
-      std::vector<AcceleratorConfig> configs;
-      std::vector<CachedSchedule> log;
-      std::vector<std::pair<std::string, uint64_t>> counters;
-      uint64_t estimates = 0;
-      uint64_t blocks = 0;
-      {
-        support::trace::CounterCapture capture;
-        SchedLogScope logScope(&log);
-        configs = generateUncached(region);
-        estimates = capture.value("model.estimate_calls");
-        blocks = capture.value("sched.block_calls");
-        counters = capture.take();
-      }
-      for (const auto& [name, delta] : counters) {
-        support::trace::count(name, delta);
-      }
-      persistentCache_->record(region, configs, estimates, blocks,
-                               std::move(log));
-      return finalizeEntry(region, entry, std::move(configs));
-    }
-    return finalizeEntry(region, entry, generateUncached(region));
+    return finalizeEntry(entry, generateUncached(region));
   } catch (...) {
     // Cancellation (or any failure) mid-generation: erase the latch so
     // waiters re-claim and retry instead of blocking on a corpse.
@@ -375,8 +289,8 @@ const std::vector<AcceleratorConfig>& AcceleratorModel::generate(
     return claim.entry->configs;
   }
   // We own the cold generation; everyone who arrives before finalizeEntry
-  // waits on the shard latch and then counts a hit — the hit/miss totals
-  // match a serial run at any concurrency.
+  // waits on the latch and then counts a hit — the hit/miss totals match a
+  // serial run at any concurrency.
   support::trace::count("model.cache_misses", 1);
   return generateCold(region, claim.entry);
 }
@@ -385,29 +299,21 @@ std::vector<const std::vector<AcceleratorConfig>*>
 AcceleratorModel::generateAll(const std::vector<const Region*>& regions) const {
   std::vector<const std::vector<AcceleratorConfig>*> lists(regions.size(),
                                                            nullptr);
-  // A cold region this call claimed: generation state shuttled between the
-  // phases below.
+  // A cold region this call claimed, carried from the parallel map to the
+  // in-order finalize.
   struct ColdJob {
     size_t slot = 0;
     GenerateEntry* entry = nullptr;
-    bool record = false;  ///< disk-eligible: record the capture for save()
     std::vector<AcceleratorConfig> configs;
-    std::vector<CachedSchedule> log;
     std::vector<std::pair<std::string, uint64_t>> counters;
-    uint64_t estimates = 0;
-    uint64_t blocks = 0;
   };
   std::vector<ColdJob> cold;
   std::vector<size_t> deferred;  ///< slots another thread is generating
 
-  // Phase A — serial, input order: resolve in-memory hits and disk-hit
-  // replays, claim cold regions, and emit every hit/miss count exactly where
-  // a serial generate() loop would. Disk-hit replay must stay serial and
-  // ordered so the schedule cache evolves exactly as the recorded cold run's
-  // traversal did.
+  // 1. Serial claim, input order: resolve hits, claim cold regions, and emit
+  // every hit/miss count exactly where a serial generate() loop would.
   for (size_t i = 0; i < regions.size(); ++i) {
-    const Region* region = regions[i];
-    Claim claim = claimEntry(region, /*wait=*/false);
+    Claim claim = claimEntry(regions[i], /*wait=*/false);
     if (claim.kind == ClaimKind::Hit) {
       support::trace::count("model.cache_hits", 1);
       lists[i] = &claim.entry->configs;
@@ -415,7 +321,7 @@ AcceleratorModel::generateAll(const std::vector<const Region*>& regions) const {
     }
     if (claim.kind == ClaimKind::Running) {
       // Another thread's claim is the miss; our observation is a hit. Block
-      // for the result only in phase D, after every region we claimed is
+      // for the result only in step 4, after every region we claimed is
       // finalized or abandoned — never while holding claims, so concurrent
       // generateAll calls cannot form a claim-wait cycle.
       support::trace::count("model.cache_hits", 1);
@@ -423,43 +329,20 @@ AcceleratorModel::generateAll(const std::vector<const Region*>& regions) const {
       continue;
     }
     support::trace::count("model.cache_misses", 1);
-    bool eligible = diskEligible(region);
-    if (eligible) {
-      const CachedRegion* hit = nullptr;
-      try {
-        hit = persistentCache_->find(region);
-        if (hit != nullptr) replayDiskHit(*hit);
-      } catch (...) {
-        abandonEntry(region);
-        for (const ColdJob& job : cold) abandonEntry(regions[job.slot]);
-        throw;
-      }
-      if (hit != nullptr) {
-        lists[i] = &finalizeEntry(
-            region, claim.entry, std::vector<AcceleratorConfig>(hit->configs));
-        continue;
-      }
-    }
     ColdJob job;
     job.slot = i;
     job.entry = claim.entry;
-    job.record = eligible;
-    cold.push_back(job);
+    cold.push_back(std::move(job));
   }
 
   if (!cold.empty()) {
-    // Phase B — cold generation, fanned out on the pool when one is
-    // configured. Each job runs under a thread-local CounterCapture and
-    // schedule-insert log, so nothing schedule-dependent escapes into the
-    // ambient trace scope; with no pool (or one job) the loop below runs the
-    // jobs inline in input order, which also keeps persistent-cache record
-    // attribution deterministic for the serial byte-compare scenarios.
+    // 2. Parallel cold map, on the pool when one is configured. Each job
+    // runs under a thread-local CounterCapture, so nothing schedule-
+    // dependent escapes into whatever trace scope the executing thread
+    // carries.
     auto runJob = [&](ColdJob& job) {
       support::trace::CounterCapture capture;
-      SchedLogScope logScope(&job.log);
       job.configs = generateUncached(regions[job.slot]);
-      job.estimates = capture.value("model.estimate_calls");
-      job.blocks = capture.value("sched.block_calls");
       job.counters = capture.take();
     };
     try {
@@ -480,27 +363,21 @@ AcceleratorModel::generateAll(const std::vector<const Region*>& regions) const {
       throw;
     }
 
-    // Phase C — serial, input order: replay each job's captured counters
-    // into the ambient scope (a sorted map, so per-task records accumulate
-    // identically to direct counting), record disk-cacheable regions, and
-    // open the latches.
+    // 3. Serial, input order: replay each job's captured counters into the
+    // ambient scope (a sorted map, so per-task records accumulate
+    // identically to direct counting) and open the latches.
     for (ColdJob& job : cold) {
       for (const auto& [name, delta] : job.counters) {
         support::trace::count(name, delta);
       }
-      if (job.record) {
-        persistentCache_->record(regions[job.slot], job.configs, job.estimates,
-                                 job.blocks, std::move(job.log));
-      }
-      lists[job.slot] =
-          &finalizeEntry(regions[job.slot], job.entry, std::move(job.configs));
+      lists[job.slot] = &finalizeEntry(job.entry, std::move(job.configs));
     }
   }
 
-  // Phase D — resolve regions other threads were generating. No claims are
-  // held here, so blocking is deadlock-free; if the owner abandoned (its
+  // 4. Resolve regions other threads were generating. No claims are held
+  // here, so blocking is deadlock-free; if the owner abandoned (its
   // generation failed), generate locally — the hit was already counted in
-  // phase A, and this path only exists after a concurrent failure, where
+  // step 1, and this path only exists after a concurrent failure, where
   // byte-identity is moot.
   for (size_t slot : deferred) {
     Claim claim = claimEntry(regions[slot], /*wait=*/true);
@@ -828,11 +705,7 @@ hls::BlockSchedule AcceleratorModel::scheduleBlockCached(
   auto it = bucket.find(signature);
   if (it != bucket.end()) return it->second;
   hls::BlockSchedule schedule = scheduler_.scheduleBlock(block, ifaces, unroll);
-  auto inserted = bucket.emplace(std::move(signature), schedule).first;
-  if (t_schedInsertLog != nullptr) {
-    t_schedInsertLog->push_back(
-        CachedSchedule{&block, unroll, inserted->first, inserted->second});
-  }
+  bucket.emplace(std::move(signature), schedule);
   return schedule;
 }
 

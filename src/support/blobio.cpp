@@ -1,104 +1,6 @@
 #include "support/blobio.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-
-#include "support/envhooks.h"
-
 namespace cayman::support::blobio {
-
-namespace {
-
-Diagnostic ioError(const std::string& unit, const std::string& message) {
-  return Diagnostic{Stage::Cache, unit, message};
-}
-
-std::string errnoText() { return std::strerror(errno); }
-
-/// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), byte-at-a-time.
-struct Crc32cTable {
-  uint32_t entries[256];
-  Crc32cTable() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
-      }
-      entries[i] = crc;
-    }
-  }
-};
-
-void putU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void putU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t getU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t getU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-/// Writes all of `bytes` to `fd`, retrying short writes.
-bool writeAll(int fd, std::string_view bytes) {
-  size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-/// Post-publish damage for the truncate/bitflip inject modes.
-Expected<uint64_t> damagePublished(const std::string& path,
-                                   const envhooks::CorruptSpec& spec,
-                                   uint64_t written) {
-  using envhooks::CorruptMode;
-  if (spec.mode == CorruptMode::Truncate) {
-    uint64_t keep = spec.offset < written ? spec.offset : written;
-    if (::truncate(path.c_str(), static_cast<off_t>(keep)) != 0) {
-      return ioError(path, "inject truncate failed: " + errnoText());
-    }
-    return keep;
-  }
-  // Bitflip: flip bit 0 of the byte at `offset` (clamped into the file).
-  if (written == 0) return written;
-  uint64_t at = spec.offset < written ? spec.offset : written - 1;
-  int fd = ::open(path.c_str(), O_RDWR);
-  if (fd < 0) return ioError(path, "inject bitflip open failed: " + errnoText());
-  char byte = 0;
-  bool ok = ::pread(fd, &byte, 1, static_cast<off_t>(at)) == 1;
-  byte = static_cast<char>(byte ^ 0x01);
-  ok = ok && ::pwrite(fd, &byte, 1, static_cast<off_t>(at)) == 1;
-  ::close(fd);
-  if (!ok) return ioError(path, "inject bitflip rewrite failed");
-  return written;
-}
-
-}  // namespace
 
 uint64_t fnv1a64(std::string_view bytes, uint64_t seed) {
   uint64_t hash = seed;
@@ -107,238 +9,6 @@ uint64_t fnv1a64(std::string_view bytes, uint64_t seed) {
     hash *= 0x100000001b3ull;
   }
   return hash;
-}
-
-uint32_t crc32c(std::string_view bytes) {
-  static const Crc32cTable table;
-  uint32_t crc = 0xFFFFFFFFu;
-  for (char c : bytes) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ static_cast<unsigned char>(c)) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-void ByteWriter::u32(uint32_t v) { putU32(out_, v); }
-void ByteWriter::u64(uint64_t v) { putU64(out_, v); }
-
-void ByteWriter::f64bits(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  putU64(out_, bits);
-}
-
-void ByteWriter::str(std::string_view s) {
-  putU32(out_, static_cast<uint32_t>(s.size()));
-  out_.append(s.data(), s.size());
-}
-
-bool ByteReader::take(size_t n, const char** out) {
-  if (failed_ || data_.size() - offset_ < n) {
-    failed_ = true;
-    return false;
-  }
-  *out = data_.data() + offset_;
-  offset_ += n;
-  return true;
-}
-
-bool ByteReader::u8(uint8_t& out) {
-  const char* p = nullptr;
-  if (!take(1, &p)) return false;
-  out = static_cast<uint8_t>(*p);
-  return true;
-}
-
-bool ByteReader::u32(uint32_t& out) {
-  const char* p = nullptr;
-  if (!take(4, &p)) return false;
-  out = getU32(p);
-  return true;
-}
-
-bool ByteReader::u64(uint64_t& out) {
-  const char* p = nullptr;
-  if (!take(8, &p)) return false;
-  out = getU64(p);
-  return true;
-}
-
-bool ByteReader::f64bits(double& out) {
-  uint64_t bits = 0;
-  if (!u64(bits)) return false;
-  std::memcpy(&out, &bits, sizeof(out));
-  return true;
-}
-
-bool ByteReader::str(std::string& out, uint32_t maxLen) {
-  uint32_t len = 0;
-  if (!u32(len)) return false;
-  if (len > maxLen) {
-    failed_ = true;
-    return false;
-  }
-  const char* p = nullptr;
-  if (!take(len, &p)) return false;
-  out.assign(p, len);
-  return true;
-}
-
-std::string buildStream(const std::vector<std::string>& payloads,
-                        uint32_t version) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  putU32(out, version);
-  putU64(out, payloads.size());
-  out.resize(kHeaderBytes);  // reserve the header CRC slot
-  uint32_t headerCrc = crc32c(std::string_view(out.data(), kHeaderBytes - 4));
-  out.resize(kHeaderBytes - 4);
-  putU32(out, headerCrc);
-  for (const std::string& payload : payloads) {
-    putU32(out, static_cast<uint32_t>(payload.size()));
-    putU32(out, crc32c(payload));
-    out += payload;
-  }
-  return out;
-}
-
-Expected<ParsedStream> parseStream(std::string_view bytes,
-                                   const Limits& limits,
-                                   const std::string& unit) {
-  if (bytes.size() > limits.maxFileBytes) {
-    return ioError(unit, "stream exceeds the file size cap");
-  }
-  if (bytes.size() < kHeaderBytes) {
-    return ioError(unit, "stream shorter than the header");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return ioError(unit, "bad magic (not a blobio stream)");
-  }
-  uint32_t storedHeaderCrc = getU32(bytes.data() + kHeaderBytes - 4);
-  uint32_t actualHeaderCrc =
-      crc32c(std::string_view(bytes.data(), kHeaderBytes - 4));
-  if (storedHeaderCrc != actualHeaderCrc) {
-    return ioError(unit, "header CRC mismatch");
-  }
-  ParsedStream stream;
-  stream.version = getU32(bytes.data() + 4);
-  stream.declaredCount = getU64(bytes.data() + 8);
-  if (stream.version != kFormatVersion) {
-    return ioError(unit, "unsupported stream format version " +
-                             std::to_string(stream.version) + " (expected " +
-                             std::to_string(kFormatVersion) + ")");
-  }
-  if (stream.declaredCount > limits.maxRecords) {
-    return ioError(unit, "record count exceeds the cap");
-  }
-
-  size_t offset = kHeaderBytes;
-  uint64_t seen = 0;
-  while (seen < stream.declaredCount) {
-    if (bytes.size() - offset < kRecordPrefixBytes) {
-      break;  // the epilogue check below marks the stream truncated
-    }
-    uint32_t length = getU32(bytes.data() + offset);
-    uint32_t storedCrc = getU32(bytes.data() + offset + 4);
-    offset += kRecordPrefixBytes;
-    if (length > limits.maxRecordBytes || bytes.size() - offset < length) {
-      // Implausible length: either real truncation or a corrupted length
-      // field. The framing can no longer be trusted past this point.
-      stream.truncated = true;
-      break;
-    }
-    std::string_view payload(bytes.data() + offset, length);
-    offset += length;
-    ++seen;
-    if (crc32c(payload) != storedCrc) {
-      ++stream.rejectedRecords;  // skip just this record
-      continue;
-    }
-    stream.records.emplace_back(payload);
-  }
-  // Fewer records than promised, or trailing garbage after the promised
-  // ones, both mean the file does not match its own framing.
-  if (seen < stream.declaredCount || offset != bytes.size()) {
-    stream.truncated = true;
-  }
-  return stream;
-}
-
-bool fileExists(const std::string& path) {
-  struct stat st {};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-Expected<std::string> readFile(const std::string& path, const Limits& limits) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return ioError(path, "no such file");
-    return ioError(path, "open failed: " + errnoText());
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return ioError(path, "stat failed: " + errnoText());
-  }
-  if (static_cast<uint64_t>(st.st_size) > limits.maxFileBytes) {
-    ::close(fd);
-    return ioError(path, "file exceeds the size cap");
-  }
-  std::string bytes(static_cast<size_t>(st.st_size), '\0');
-  size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    done += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  bytes.resize(done);
-  return bytes;
-}
-
-Expected<uint64_t> writeFileAtomic(const std::string& path,
-                                   std::string_view bytes) {
-  Expected<std::optional<envhooks::CorruptSpec>> injected =
-      envhooks::envInjectCorrupt();
-  if (!injected.ok()) return injected.diagnostic();
-  const std::optional<envhooks::CorruptSpec>& spec = injected.value();
-
-  using envhooks::CorruptMode;
-  std::string_view toWrite = bytes;
-  if (spec.has_value() && spec->mode == CorruptMode::Torn) {
-    toWrite = bytes.substr(0, spec->offset < bytes.size() ? spec->offset
-                                                          : bytes.size());
-  }
-
-  std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return ioError(path, "temp file open failed: " + errnoText());
-  }
-  bool ok = writeAll(fd, toWrite);
-  ok = ::fsync(fd) == 0 && ok;
-  ok = ::close(fd) == 0 && ok;
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    return ioError(path, "temp file write failed: " + errnoText());
-  }
-  if (spec.has_value() && spec->mode == CorruptMode::Crash) {
-    // Simulated death between temp-file write and rename: the temp file is
-    // left behind (as a crashed process would) and the target is untouched.
-    return ioError(path, "injected crash before rename (CAYMAN_INJECT_CORRUPT)");
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::string message = "rename failed: " + errnoText();
-    ::unlink(tmp.c_str());
-    return ioError(path, message);
-  }
-  uint64_t written = toWrite.size();
-  if (spec.has_value() && (spec->mode == CorruptMode::Truncate ||
-                           spec->mode == CorruptMode::Bitflip)) {
-    return damagePublished(path, *spec, written);
-  }
-  return written;
 }
 
 }  // namespace cayman::support::blobio

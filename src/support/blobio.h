@@ -1,138 +1,14 @@
-// Crash-safe binary record streams (the persistent-cache substrate).
-//
-// A blobio stream is a length-prefixed record container designed to be read
-// back as hostile input, the same discipline as the hardened IR parser:
-//
-//   header:  "CYMB" magic | u32 format version | u64 record count | u32 CRC
-//   record:  u32 payload length | u32 payload CRC32C | payload bytes
-//
-// All integers are little-endian and fixed-width. Reads are bounded by a
-// `Limits` struct (the ParserLimits idiom), every record is integrity-checked
-// with CRC32C, and parsing degrades instead of failing wholesale: a record
-// whose CRC mismatches is skipped (counted in `rejectedRecords`), a stream
-// that ends mid-record stops early (`truncated`), and only damage to the
-// framing itself — bad magic, unknown version, corrupt header — rejects the
-// whole stream via a failed Expected.
-//
-// Publication is atomic: writeFileAtomic() writes `path + ".tmp.<pid>"`,
-// flushes it to disk, and rename(2)s it over the target, so a reader either
-// sees the old complete file or the new complete file, never a torn one. The
-// CAYMAN_INJECT_CORRUPT=<mode>:<offset> test hook (see support/envhooks.h)
-// deliberately breaks this path to exercise recovery: truncate/bitflip
-// damage the published file, torn publishes a partial write, crash dies
-// between temp-file write and rename.
+// FNV-1a 64-bit content hashing (deterministic digests of printed output).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
-
-#include "support/status.h"
 
 namespace cayman::support::blobio {
 
-/// Stream format version; bump on any framing change.
-inline constexpr uint32_t kFormatVersion = 1;
-/// Stream magic ("CaYMan Blob").
-inline constexpr char kMagic[4] = {'C', 'Y', 'M', 'B'};
-/// Fixed sizes of the framing (header and per-record prefix).
-inline constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;
-inline constexpr size_t kRecordPrefixBytes = 4 + 4;
-
-/// FNV-1a 64-bit (content hashing: IR text, fingerprints). `seed` chains
-/// multiple pieces: fnv1a64(b, fnv1a64(a)) hashes a||b.
+/// FNV-1a 64-bit. `seed` chains multiple pieces: fnv1a64(b, fnv1a64(a))
+/// hashes a||b.
 inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 uint64_t fnv1a64(std::string_view bytes, uint64_t seed = kFnvOffset);
-
-/// CRC-32C (Castagnoli), software table implementation. Catches all 1- and
-/// 2-bit errors and any burst up to 32 bits per record.
-uint32_t crc32c(std::string_view bytes);
-
-/// Bounded-read caps applied while parsing untrusted streams.
-struct Limits {
-  uint64_t maxFileBytes = 256ull << 20;   ///< refuse larger files outright
-  uint64_t maxRecordBytes = 16ull << 20;  ///< larger lengths = bad framing
-  uint64_t maxRecords = 1ull << 20;
-};
-
-/// Little-endian primitive encoder for record payloads.
-class ByteWriter {
- public:
-  void u8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(uint32_t v);
-  void u64(uint64_t v);
-  /// Doubles travel as raw bit patterns: bit-exact round-trips, NaNs intact.
-  void f64bits(double v);
-  /// u32 length prefix + bytes.
-  void str(std::string_view s);
-
-  const std::string& bytes() const { return out_; }
-  std::string take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounded little-endian decoder. Every read reports success; after the
-/// first failure the reader is sticky-failed and all further reads fail, so
-/// decode functions can chain reads and check once.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  bool u8(uint8_t& out);
-  bool u32(uint32_t& out);
-  bool u64(uint64_t& out);
-  bool f64bits(double& out);
-  /// Rejects lengths above maxLen before allocating.
-  bool str(std::string& out, uint32_t maxLen);
-
-  bool failed() const { return failed_; }
-  bool done() const { return !failed_ && offset_ == data_.size(); }
-  size_t offset() const { return offset_; }
-
- private:
-  bool take(size_t n, const char** out);
-
-  std::string_view data_;
-  size_t offset_ = 0;
-  bool failed_ = false;
-};
-
-/// Result of tolerantly parsing a record stream.
-struct ParsedStream {
-  uint32_t version = 0;
-  uint64_t declaredCount = 0;       ///< record count the header promised
-  std::vector<std::string> records; ///< payloads that passed their CRC
-  uint64_t rejectedRecords = 0;     ///< CRC-mismatched records skipped
-  bool truncated = false;           ///< stream ended mid-record / framing died
-};
-
-/// Serializes payloads into a complete stream (header + records + CRCs).
-std::string buildStream(const std::vector<std::string>& payloads,
-                        uint32_t version = kFormatVersion);
-
-/// Parses a stream, tolerating per-record damage (see file comment). Fails
-/// only on whole-stream problems: short/corrupt header, wrong magic,
-/// unsupported version, file or record-count caps exceeded. `unit` labels
-/// diagnostics (typically the file path).
-Expected<ParsedStream> parseStream(std::string_view bytes,
-                                   const Limits& limits,
-                                   const std::string& unit = "");
-
-/// True when `path` exists (stat-based; no read).
-bool fileExists(const std::string& path);
-
-/// Reads a whole file with the size cap applied before allocation. A
-/// missing file is a failed Expected whose message starts with "no such
-/// file" (callers treat that case as a clean cold start).
-Expected<std::string> readFile(const std::string& path, const Limits& limits);
-
-/// Atomically publishes `bytes` at `path` via temp file + fsync + rename.
-/// Returns the number of bytes written. Honours CAYMAN_INJECT_CORRUPT
-/// (malformed specs fail the write loudly rather than being ignored).
-Expected<uint64_t> writeFileAtomic(const std::string& path,
-                                   std::string_view bytes);
 
 }  // namespace cayman::support::blobio

@@ -10,7 +10,7 @@ const char* stageName(Stage stage) {
     case Stage::Verify: return "verify";
     case Stage::Analyze: return "analyze";
     case Stage::Profile: return "profile";
-    case Stage::Cache: return "cache";
+    case Stage::Model: return "model";
     case Stage::Select: return "select";
     case Stage::Merge: return "merge";
     case Stage::Baselines: return "baselines";
@@ -21,7 +21,7 @@ const char* stageName(Stage stage) {
 
 std::optional<Stage> stageByName(std::string_view name) {
   for (Stage stage : {Stage::Parse, Stage::Verify, Stage::Analyze,
-                      Stage::Profile, Stage::Cache, Stage::Select,
+                      Stage::Profile, Stage::Model, Stage::Select,
                       Stage::Merge, Stage::Baselines, Stage::Internal}) {
     if (name == stageName(stage)) return stage;
   }

@@ -1,7 +1,7 @@
 // Structured status reporting for the evaluation pipeline.
 //
 // A `Diagnostic` pins a failure to a pipeline stage (parse/verify/analyze/
-// profile/cache/select/merge/baselines), the pipeline unit it happened in
+// profile/model/select/merge/baselines), the pipeline unit it happened in
 // (workload or module name), and — for ingestion stages — a 1-based line:col
 // source position.
 // `DiagnosticError` carries one through the exception path so the driver can
@@ -25,8 +25,11 @@ enum class Stage {
   Parse,
   Verify,
   Analyze,
+  /// The interpreter run and the ProfileData built from it.
   Profile,
-  Cache,
+  /// Construction of the accelerator model and the NOVIA and QsCores
+  /// baselines over the profile.
+  Model,
   Select,
   Merge,
   /// The NOVIA and QsCores comparison flows run after Cayman's own

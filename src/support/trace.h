@@ -156,11 +156,10 @@ class Span {
 /// executing thread happens to carry; the coordinating thread later replays
 /// the captured deltas into W's TaskScope in traversal order.
 ///
-/// Captures intercept *before* the global on() check: the persistent model
-/// cache needs per-region counter deltas even when tracing is disabled.
-/// Spans and addStageSeconds are suppressed while a capture is active
-/// (events are position-dependent and cannot be replayed deterministically).
-/// Captures nest; the innermost wins.
+/// Like every recorder entry point, a capture only sees counts while
+/// tracing is on. Spans and addStageSeconds are suppressed while a capture
+/// is active (events are position-dependent and cannot be replayed
+/// deterministically). Captures nest; the innermost wins.
 class CounterCapture {
  public:
   CounterCapture();
@@ -170,8 +169,6 @@ class CounterCapture {
 
   /// All captured (name, delta) pairs sorted by name; clears the capture.
   std::vector<std::pair<std::string, uint64_t>> take();
-  /// Current captured total for `name` (0 when absent).
-  uint64_t value(const std::string& name) const;
 
   /// Implementation detail (defined in trace.cpp).
   struct State;
@@ -181,9 +178,9 @@ class CounterCapture {
   State* previous_ = nullptr;
 };
 
-/// Adds `delta` to counter `name`: into the innermost CounterCapture if one
-/// is active on this thread (even with tracing off), else task-local inside
-/// a TaskScope (fully deterministic), else global.
+/// Adds `delta` to counter `name` (no-op when tracing is off): into the
+/// innermost CounterCapture if one is active on this thread, else
+/// task-local inside a TaskScope (fully deterministic), else global.
 void count(const std::string& name, uint64_t delta);
 
 /// Adds `delta` directly to the global counter map, bypassing any TaskScope

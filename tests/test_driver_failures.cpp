@@ -86,6 +86,23 @@ TEST(DriverFailureTest, BaselinesStageHasItsOwnName) {
   }
 }
 
+TEST(DriverFailureTest, ModelStageHasItsOwnName) {
+  // Building the accelerator model and the NOVIA/QsCores baselines runs in
+  // its own stage after the interpreter profile, so a fault there is
+  // reported as `model`, not as `profile`.
+  FrameworkOptions options;
+  options.failAfterStage = Stage::Model;
+  std::vector<WorkloadEvaluation> evaluations =
+      evaluateWorkloads(kNames, kBudget, 2, options);
+  ASSERT_EQ(evaluations.size(), kNames.size());
+  for (const WorkloadEvaluation& evaluation : evaluations) {
+    ASSERT_FALSE(evaluation.ok());
+    EXPECT_EQ(evaluation.failure->stage, Stage::Model);
+    EXPECT_NE(formatEvaluationLine(evaluation).find("FAILED model:"),
+              std::string::npos);
+  }
+}
+
 TEST(DriverFailureTest, ParseStageInjection) {
   FrameworkOptions options;
   options.failAfterStage = Stage::Parse;

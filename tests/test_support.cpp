@@ -4,12 +4,23 @@
 #include <cstdlib>
 #include <limits>
 
+#include "support/blobio.h"
 #include "support/error.h"
 #include "support/json.h"
 #include "support/strings.h"
 
 namespace cayman {
 namespace {
+
+TEST(Fnv1a64Test, MatchesKnownVectorsAndChains) {
+  using support::blobio::fnv1a64;
+  EXPECT_EQ(fnv1a64(""), support::blobio::kFnvOffset);
+  // Standard FNV-1a 64 vector.
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  // Chaining hashes concatenation.
+  EXPECT_EQ(fnv1a64("world", fnv1a64("hello ")), fnv1a64("hello world"));
+  EXPECT_NE(fnv1a64("hello"), fnv1a64("hellp"));
+}
 
 TEST(StringsTest, SplitKeepsEmptyPieces) {
   auto pieces = split("a,b,,c", ',');

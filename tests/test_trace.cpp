@@ -115,6 +115,65 @@ TEST_F(TraceTest, CountsOutsideAnyScopeGoToGlobalCounters) {
   EXPECT_EQ(gauges[0].second, 8);
 }
 
+using Counts = std::vector<std::pair<std::string, uint64_t>>;
+
+TEST(TraceDisabledTest, CounterCaptureRecordsNothingWhenOff) {
+  trace::TraceRecorder& recorder = trace::TraceRecorder::global();
+  recorder.setEnabled(false);
+  recorder.clear();
+  trace::CounterCapture capture;
+  trace::count("model.estimate_calls", 3);
+  EXPECT_TRUE(capture.take().empty());
+}
+
+TEST_F(TraceTest, InnermostCounterCaptureWinsAndOuterResumes) {
+  trace::CounterCapture outer;
+  trace::count("a", 1);
+  {
+    trace::CounterCapture inner;
+    trace::count("a", 10);
+    trace::count("b", 2);
+    EXPECT_EQ(inner.take(), (Counts{{"a", 10}, {"b", 2}}));
+  }
+  trace::count("a", 100);
+  EXPECT_EQ(outer.take(), (Counts{{"a", 101}}));
+}
+
+TEST_F(TraceTest, CounterCaptureTakeSortsByNameAndClears) {
+  trace::CounterCapture capture;
+  trace::count("zeta", 1);
+  trace::count("alpha", 2);
+  trace::count("mid", 3);
+  trace::count("alpha", 4);
+  EXPECT_EQ(capture.take(), (Counts{{"alpha", 6}, {"mid", 3}, {"zeta", 1}}));
+  EXPECT_TRUE(capture.take().empty());
+  trace::count("mid", 1);
+  EXPECT_EQ(capture.take(), (Counts{{"mid", 1}}));
+}
+
+TEST_F(TraceTest, CapturedCountsReachNeitherTaskScopeNorGlobal) {
+  {
+    trace::TaskScope scope("atax", 0);
+    trace::count("scoped", 1);
+    trace::CounterCapture capture;
+    trace::count("captured", 5);
+    trace::Span span("hidden");  // spans are suppressed under a capture
+    trace::addStageSeconds("select", 1.0);
+    EXPECT_EQ(capture.take(), (Counts{{"captured", 5}}));
+  }
+  {
+    trace::CounterCapture capture;  // outside any scope: not global either
+    trace::count("captured", 7);
+  }
+  std::vector<trace::TaskRecord> tasks =
+      trace::TraceRecorder::global().drainTasks();
+  ASSERT_EQ(tasks.size(), 1u);
+  EXPECT_EQ(tasks[0].counters, (Counts{{"scoped", 1}}));
+  EXPECT_EQ(tasks[0].events.size(), 2u);  // workload B/E only
+  EXPECT_TRUE(tasks[0].stageSeconds.empty());
+  EXPECT_TRUE(trace::TraceRecorder::global().globalCounters().empty());
+}
+
 /// Walks a traceEvents array checking balanced B/E nesting and per-tid
 /// monotonically non-decreasing timestamps.
 void checkTraceEvents(const json::Value& document) {
