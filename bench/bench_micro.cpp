@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cayman/framework.h"
+#include "oracles/reference_interpreter.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -27,12 +28,11 @@ void BM_InterpreterRun(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterRun);
 
-// Tree-walking reference engine, kept for before/after comparison and as the
-// golden-equivalence oracle.
+// Tree-walking reference oracle (test-only library), kept for before/after
+// comparison with the decoded engine.
 void BM_InterpreterRunReference(benchmark::State& state) {
   auto module = workloads::build("atax");
-  sim::Interpreter interp(*module, sim::CpuCostModel::cva6(),
-                          sim::Interpreter::ExecMode::Reference);
+  oracles::ReferenceInterpreter interp(*module);
   uint64_t instructions = 0;
   for (auto _ : state) {
     sim::Interpreter::Result result = interp.run();

@@ -5,10 +5,12 @@
 // Determinism contract: every field of the returned reports (and every byte
 // of the formatted table, which deliberately omits wall-clock timings) is
 // bit-identical between jobs=1 and jobs=N runs — each task is a pure
-// function of (workload name, budget). Engine-mode toggles extend this:
-// trace counters (including the merge.* set) are emitted at mode-independent
-// points, so metrics are also byte-identical across --select-mode,
-// --generate-mode, and --merge-mode.
+// function of (workload name, budget). The library's Reference engines
+// (FrameworkOptions::selectMode/generateMode/mergeMode) extend this: trace
+// counters (including the merge.* set) are emitted at engine-independent
+// points, so the table, metrics and trace are byte-identical across the
+// select and merge engines, and the table and trace across the generate
+// engines (tests/test_engine_identity.cpp).
 //
 // Fault isolation contract: evaluateWorkload never throws. Every failure —
 // cayman::Error, std::bad_alloc, timeouts, injected faults — is caught

@@ -38,17 +38,21 @@ struct FrameworkOptions {
   double pruneHotFraction = 5e-4;
   /// Disable decoupled/scratchpad interfaces (Fig. 6's "coupled-only").
   bool coupledOnly = false;
+  // Engine choices. The shipped tool always runs the defaults; tests and
+  // perfbench (--confirm-expected) select the Reference values, the oracles,
+  // to check that they reproduce the defaults' output.
+
   /// Which selector DP runs Algorithm 1 (also forwarded to the QsCores
-  /// baseline's selector). Reference is the slow oracle for differential
-  /// testing; both produce bit-identical evaluations.
+  /// baseline's selector). Reference is the slow oracle DP; both produce
+  /// bit-identical evaluations.
   select::SelectMode selectMode = select::SelectMode::Frontier;
   /// Which candidate-generation engine the accelerator model runs (also
   /// forwarded to the QsCores baseline's model). Reference is the exhaustive
-  /// oracle for differential testing; both produce bit-identical fronts.
+  /// sweep; both produce bit-identical fronts.
   accel::GenerateMode generateMode = accel::GenerateMode::Guided;
   /// Which matching engine contracts the merge compatibility graph.
-  /// Reference is the bug-fixed seed greedy kept as the differential oracle;
-  /// both produce value-identical MergeResults.
+  /// Reference is the bug-fixed seed greedy; both produce value-identical
+  /// MergeResults.
   merge::MergeMode mergeMode = merge::MergeMode::Graph;
   /// Test hook forwarded to the model: microseconds slept per candidate
   /// generation, so deadline tests can force a slow select stage. The driver

@@ -11,7 +11,8 @@
 //     O(U log U) per merge step instead of O(U^2) per step.
 //   - matchUnitsReference: the seed-era greedy (bug-fixed), rescoring every
 //     cross-group pair each round. Retained as the differential oracle, the
-//     same role SelectMode::Reference plays for the selector DP.
+//     same role SelectMode::Reference plays for the selector DP; tests and
+//     perfbench reach it through FrameworkOptions::mergeMode, the CLI never.
 // Both contract edges in the identical order (saving desc, then lowest unit
 // index pair), so their MergeResults are value-identical by construction.
 #pragma once

@@ -21,7 +21,9 @@ enum class SelectMode {
   /// budget break-out. See select/frontier.h.
   Frontier,
   /// The original Solution-copying DP, kept in-tree as the differential
-  /// oracle (the same role ExecMode::Reference plays for the interpreter).
+  /// oracle (the same role oracles::ReferenceInterpreter plays for the
+  /// interpreter). Tests and perfbench select it through
+  /// FrameworkOptions::selectMode; the CLI always runs Frontier.
   Reference,
 };
 

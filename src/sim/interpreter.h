@@ -1,12 +1,11 @@
 // IR interpreter with cycle accounting — Cayman's profiling substrate.
 //
-// Two execution engines share one Result shape:
-//   - Decoded (default): each function is lowered once by sim::Decoder into a
-//     flat micro-op stream; the hot loop is a tight switch over fixed-size
-//     micro-ops with all operands pre-resolved to frame slots — no hash-map
-//     access per dynamic instruction.
-//   - Reference: the original tree-walking loop, kept as the semantic oracle
-//     for golden-equivalence tests (results must be bit-identical).
+// Each function is lowered once by sim::Decoder into a flat micro-op stream;
+// the hot loop is a tight switch over fixed-size micro-ops with all operands
+// pre-resolved to frame slots — no hash-map access per dynamic instruction.
+// The tests hold it bit-identical to a tree-walking oracle
+// (oracles/reference_interpreter.h) that shares its scalar semantics
+// (sim/semantics.h).
 #pragma once
 
 #include <optional>
@@ -22,11 +21,10 @@ namespace cayman::sim {
 
 class Interpreter {
  public:
-  enum class ExecMode { Decoded, Reference };
+  static constexpr uint64_t kDefaultInstructionLimit = 2'000'000'000;
 
   explicit Interpreter(const ir::Module& module,
-                       CpuCostModel model = CpuCostModel::cva6(),
-                       ExecMode mode = ExecMode::Decoded);
+                       CpuCostModel model = CpuCostModel::cva6());
 
   struct Result {
     double totalCycles = 0.0;
@@ -47,9 +45,6 @@ class Interpreter {
   /// Executes a specific function (also from a freshly reset memory image).
   Result runFunction(const ir::Function& function,
                      std::span<const int64_t> args = {});
-
-  ExecMode mode() const { return mode_; }
-  void setMode(ExecMode mode) { mode_ = mode; }
 
   SimMemory& memory() { return memory_; }
   const SimMemory& memory() const { return memory_; }
@@ -78,10 +73,6 @@ class Interpreter {
   DecodeStats predecodeAll(bool force = false);
 
  private:
-  struct Numbering {
-    std::unordered_map<const ir::Value*, int> index;
-    int count = 0;
-  };
   /// Decoded stream plus its dense execution-count accumulator (folded into
   /// Result::blockCounts at the end of each run).
   struct DecodedEntry {
@@ -89,22 +80,16 @@ class Interpreter {
     std::vector<uint64_t> counts;
   };
 
-  const Numbering& numberingFor(const ir::Function& function);
   DecodedEntry& decodedFor(const ir::Function& function);
   Slot execDecoded(DecodedEntry& entry, std::vector<Slot> args, Result& result,
                    int depth);
-  Slot execReference(const ir::Function& function, std::vector<Slot> args,
-                     Result& result, int depth);
 
   const ir::Module& module_;
   CpuCostModel model_;
   SimMemory memory_;
-  ExecMode mode_;
   std::unordered_map<const ir::Function*, std::unique_ptr<DecodedEntry>>
       decoded_;
-  std::unordered_map<const ir::Function*, Numbering> numberings_;
-  std::unordered_map<const ir::BasicBlock*, double> blockCost_;
-  uint64_t instructionLimit_ = 2'000'000'000;
+  uint64_t instructionLimit_ = kDefaultInstructionLimit;
   uint64_t executed_ = 0;
   const support::CancelToken* cancel_ = nullptr;
   uint64_t cancelTick_ = 0;

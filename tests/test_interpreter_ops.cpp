@@ -1,19 +1,32 @@
 // Table-driven semantics tests: every arithmetic / comparison / conversion
-// opcode is executed through a one-instruction function and checked against
-// the host's reference arithmetic.
+// opcode is executed through a one-instruction function on both the
+// interpreter and the tree-walking reference oracle, which must agree, and
+// checked against the host's reference arithmetic.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "ir/builder.h"
+#include "oracles/reference_interpreter.h"
 #include "sim/interpreter.h"
 
 namespace cayman::sim {
 namespace {
 
-/// Runs `op(a, b)` on i64 operands through both interpreter engines and
-/// checks they agree before returning the result.
+/// Runs `f` on the interpreter and on the reference oracle, checks that both
+/// return the same integer, and returns it.
+int64_t runBoth(const ir::Module& m, const ir::Function& f,
+                std::span<const int64_t> args) {
+  int64_t decoded = Interpreter(m).runFunction(f, args).returnValue->i;
+  int64_t reference =
+      oracles::ReferenceInterpreter(m).runFunction(f, args).returnValue->i;
+  EXPECT_EQ(decoded, reference) << "decoded vs reference engine";
+  return decoded;
+}
+
+/// Runs `op(a, b)` on i64 operands through both engines.
 int64_t evalI64(ir::Opcode op, int64_t a, int64_t b) {
   ir::Module m("op");
   ir::Function* f = m.addFunction(
@@ -26,18 +39,14 @@ int64_t evalI64(ir::Opcode op, int64_t a, int64_t b) {
   ir::IRBuilder builder(&m);
   builder.setInsertPoint(entry);
   builder.ret(raw);
-  Interpreter interp(m);
   int64_t args[] = {a, b};
-  int64_t decoded = interp.runFunction(*f, args).returnValue->i;
-  interp.setMode(Interpreter::ExecMode::Reference);
-  int64_t reference = interp.runFunction(*f, args).returnValue->i;
-  EXPECT_EQ(decoded, reference)
-      << ir::opcodeSpelling(op) << "(" << a << ", " << b
-      << "): decoded vs reference engine";
-  return decoded;
+  SCOPED_TRACE(std::string(ir::opcodeSpelling(op)) + "(" + std::to_string(a) +
+               ", " + std::to_string(b) + ")");
+  return runBoth(m, *f, args);
 }
 
-/// Runs `fop(a, b)` on f64 operands (passed via globals to keep precision).
+/// Runs `fop(a, b)` on f64 operands (passed via globals to keep precision)
+/// through both engines, which must store bit-identical results.
 double evalF64(ir::Opcode op, double a, double b, bool unary = false) {
   ir::Module m("fop");
   auto* in = m.addGlobal("in", ir::Type::f64(), 2);
@@ -62,7 +71,13 @@ double evalF64(ir::Opcode op, double a, double b, bool unary = false) {
   builder.ret();
   Interpreter interp(m);
   interp.run();
-  return interp.memory().readElemF64(out, 0);
+  oracles::ReferenceInterpreter reference(m);
+  reference.run();
+  double decoded = interp.memory().readElemF64(out, 0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(decoded),
+            std::bit_cast<uint64_t>(reference.memory().readElemF64(out, 0)))
+      << ir::opcodeSpelling(op) << ": decoded vs reference engine";
+  return decoded;
 }
 
 struct IntCase {
@@ -139,18 +154,17 @@ TEST(CmpOpTest, IntegerPredicates) {
   b.setInsertPoint(entry);
   ir::Value* cmp = b.icmp(ir::CmpPred::LT, f->argument(0), f->argument(1));
   b.ret(b.zext(cmp, ir::Type::i64()));
-  Interpreter interp(m);
   {
     int64_t args[] = {1, 2};
-    EXPECT_EQ(interp.runFunction(*f, args).returnValue->i, 1);
+    EXPECT_EQ(runBoth(m, *f, args), 1);
   }
   {
     int64_t args[] = {2, 2};
-    EXPECT_EQ(interp.runFunction(*f, args).returnValue->i, 0);
+    EXPECT_EQ(runBoth(m, *f, args), 0);
   }
   {
     int64_t args[] = {-5, 2};
-    EXPECT_EQ(interp.runFunction(*f, args).returnValue->i, 1);
+    EXPECT_EQ(runBoth(m, *f, args), 1);
   }
 }
 
@@ -165,9 +179,8 @@ TEST(ConversionTest, RoundTripsAndTruncation) {
   ir::Value* asF = b.sitofp(f->argument(0), ir::Type::f64());
   ir::Value* scaled = b.fmul(asF, b.f64(0.5));
   b.ret(b.fptosi(scaled, ir::Type::i64()));
-  Interpreter interp(m);
   int64_t args[] = {9};
-  EXPECT_EQ(interp.runFunction(*f, args).returnValue->i, 4);  // trunc toward 0
+  EXPECT_EQ(runBoth(m, *f, args), 4);  // trunc toward 0
 }
 
 TEST(ConversionTest, TruncAndExtWrapCorrectly) {
@@ -179,15 +192,14 @@ TEST(ConversionTest, TruncAndExtWrapCorrectly) {
   b.setInsertPoint(entry);
   ir::Value* narrow = b.trunc(f->argument(0), ir::Type::i32());
   b.ret(b.sext(narrow, ir::Type::i64()));
-  Interpreter interp(m);
   // 2^32 + 5 truncates to 5; -1 stays -1 (sign extension).
   {
     int64_t args[] = {(int64_t{1} << 32) + 5};
-    EXPECT_EQ(interp.runFunction(*f, args).returnValue->i, 5);
+    EXPECT_EQ(runBoth(m, *f, args), 5);
   }
   {
     int64_t args[] = {-1};
-    EXPECT_EQ(interp.runFunction(*f, args).returnValue->i, -1);
+    EXPECT_EQ(runBoth(m, *f, args), -1);
   }
 }
 
@@ -203,14 +215,13 @@ TEST(SelectTest, PicksByCondition) {
       b.icmp(ir::CmpPred::GT, f->argument(0), f->argument(1)),
       f->argument(0), f->argument(1), "max");
   b.ret(bigger);
-  Interpreter interp(m);
   {
     int64_t args[] = {3, 8};
-    EXPECT_EQ(interp.runFunction(*f, args).returnValue->i, 8);
+    EXPECT_EQ(runBoth(m, *f, args), 8);
   }
   {
     int64_t args[] = {9, -4};
-    EXPECT_EQ(interp.runFunction(*f, args).returnValue->i, 9);
+    EXPECT_EQ(runBoth(m, *f, args), 9);
   }
 }
 

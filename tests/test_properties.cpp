@@ -66,6 +66,25 @@ TEST_P(FrameworkPropertyTest, TCandNeverExceedsTAll) {
   EXPECT_GE(best.accelCycles, 0.0);
 }
 
+TEST_P(FrameworkPropertyTest, SpeedupWithinAmdahlBound) {
+  // Accelerating the selected regions can at best remove their CPU time, so
+  // the reported speedup is at most T_all / (T_all - sum of selected cycles).
+  Framework fw = makeFramework(GetParam());
+  for (double budget : {0.25, 0.65}) {
+    EvaluationReport report = fw.evaluate(budget);
+    double selectedCpu = 0.0;
+    for (const accel::AcceleratorConfig& config :
+         report.solution.accelerators) {
+      selectedCpu += config.cpuCycles;
+    }
+    double remaining = report.totalCpuCycles - selectedCpu;
+    if (remaining <= 0.0) continue;  // whole program selected: no bound
+    EXPECT_LE(report.caymanSpeedup,
+              report.totalCpuCycles / remaining * (1.0 + 1e-9))
+        << "budget " << budget;
+  }
+}
+
 TEST_P(FrameworkPropertyTest, MergingNeverIncreasesArea) {
   Framework fw = makeFramework(GetParam());
   select::Solution best = fw.best(0.65);
