@@ -159,8 +159,6 @@ std::vector<WorkloadEvaluation> evaluateWorkloads(
   // schedule differs.
   ThreadPool& pool = ThreadPool::shared();
   pool.ensureWorkers(jobs);
-  FrameworkOptions taskOptions = options;
-  if (taskOptions.pool == nullptr) taskOptions.pool = &pool;
   // LPT (longest-processing-time-first) list scheduling: submit the
   // heaviest workloads first so the cjpeg/3mm-class tails start early
   // instead of landing last on an otherwise-drained pool. Submission order
@@ -179,7 +177,7 @@ std::vector<WorkloadEvaluation> evaluateWorkloads(
   return parallelIndexMap(
       pool, names.size(),
       [&](size_t i) {
-        return evaluateWorkload(names[i], budgetRatio, taskOptions, i);
+        return evaluateWorkload(names[i], budgetRatio, options, i);
       },
       submitOrder);
 }

@@ -72,8 +72,9 @@ WorkloadEvaluation evaluateWorkload(const std::string& name,
                                     size_t traceIndex = 0);
 
 /// Evaluates the named workloads at `budgetRatio` on `jobs` pool workers
-/// (jobs == 0 means ThreadPool::defaultWorkers()). Output order follows
-/// `names`.
+/// (jobs == 0 means ThreadPool::defaultWorkers()), one pool task per
+/// workload submitted heaviest first; each task runs its Framework serially
+/// unless `options.pool` is set. Output order follows `names`.
 std::vector<WorkloadEvaluation> evaluateWorkloads(
     const std::vector<std::string>& names, double budgetRatio, unsigned jobs,
     const FrameworkOptions& options = {});

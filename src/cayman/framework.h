@@ -62,7 +62,14 @@ struct FrameworkOptions {
   /// model's generateAll() runs cold candidate generations of distinct
   /// regions concurrently on it. Not owned; must outlive the Framework.
   /// nullptr keeps generation serial. Counter/trace/output bytes are
-  /// identical either way — only wall-clock changes.
+  /// identical either way — only wall-clock changes. The driver leaves it
+  /// unset (it parallelises across workloads only); only tests and
+  /// perfbench's traced sweep-parallel pass set it. That pass therefore
+  /// measures a configuration the shipped tool never runs: its per-layer
+  /// accel.generate_ms and pool.tasks include the fan-out, and its
+  /// pool.steals/pool.steal_ratio read 0. This field, ModelParams::pool and
+  /// the fan-out branch of generateAll() are to be deleted together with
+  /// that pass's use of them (ROADMAP item 1).
   ThreadPool* pool = nullptr;
 
   /// Per-workload wall-clock deadline in seconds (<= 0 disables). Policy

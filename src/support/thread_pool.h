@@ -1,13 +1,9 @@
-// Work-stealing thread pool for the evaluation driver and the model's
-// nested region-level fan-out.
+// FIFO thread pool for the evaluation driver's per-workload map.
 //
 // Architecture:
-//   - One deque per worker. A submit from a worker thread pushes to that
-//     worker's own deque (LIFO bottom — cache-warm, depth-first); a submit
-//     from any other thread lands in a global injection queue. Idle workers
-//     drain their own deque first, then the injection queue, then steal from
-//     sibling deques (FIFO top, so thieves take the oldest — coarsest —
-//     work). Steals are counted on pool.steals.
+//   - One mutex-guarded FIFO queue shared by every worker. Tasks run in the
+//     order they were submitted, so a caller that submits heaviest first
+//     (the driver's LPT order) gets heaviest-first starts.
 //   - TaskGroup is the structured-fork primitive for nested parallelism:
 //     run() submits subtasks, wait() *helps* — it pops and runs this group's
 //     pending subtasks inline instead of blocking — so a task on a fixed
@@ -20,26 +16,21 @@
 // Determinism contract: parallelIndexMap returns results in index order and
 // surfaces the lowest-index exception; TaskGroup::wait rethrows the
 // lowest-submission-index exception. The pool's own counters (pool.tasks,
-// pool.steals, pool.tasks_nested) are schedule-dependent and therefore
-// always recorded as *global* trace counters — they never enter the
-// deterministic per-task records, so metrics and traces stay byte-identical
-// at any worker count.
+// pool.tasks_nested) are schedule-dependent and therefore always recorded
+// as *global* trace counters — they never enter the deterministic per-task
+// records, so metrics and traces stay byte-identical at any worker count.
 //
 // Shutdown: the destructor drains every queued task, then joins. submit()
 // during or after shutdown throws std::runtime_error — a silently dropped
 // task is a hang in the caller, a thrown one is a bug report.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -67,18 +58,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned workers() const {
-    return workerCount_.load(std::memory_order_acquire);
-  }
+  unsigned workers() const;
 
   /// Grows the pool to at least `workers` workers (never shrinks; capped at
   /// kMaxWorkers). Thread-safe; no-op when already large enough.
   void ensureWorkers(unsigned workers);
 
   /// True once destruction has begun (submit() would throw).
-  bool stopping() const {
-    return stopping_.load(std::memory_order_acquire);
-  }
+  bool stopping() const;
 
   /// Enqueues `fn` and returns its future. Exceptions thrown by `fn`
   /// propagate through the future. Throws std::runtime_error when the pool
@@ -102,36 +89,13 @@ class ThreadPool {
   static bool inPoolTask();
 
  private:
-  friend class TaskGroup;
-
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> deque;
-    std::thread thread;
-  };
-
   void workerLoop(unsigned index);
-  void runTask(std::function<void()>& task);
-  bool findTask(unsigned selfIndex, std::function<void()>& task);
-  void notifyOne();
 
-  /// Fixed slot table so the steal scan can index workers lock-free: slots
-  /// [0, workerCount_) are fully constructed before the count is published
-  /// with release ordering.
-  std::array<std::unique_ptr<Worker>, kMaxWorkers> slots_;
-  std::atomic<unsigned> workerCount_{0};
-  std::mutex growMutex_;  ///< serializes ensureWorkers
-
-  std::mutex injectMutex_;
-  std::deque<std::function<void()>> inject_;
-
-  /// Sleep coordination: workers re-scan when `version_` moved since their
-  /// last empty scan, so a submit between scan and wait cannot be lost.
-  std::mutex sleepMutex_;
+  mutable std::mutex mutex_;  ///< guards queue_, threads_ and stopping_
   std::condition_variable wake_;
-  uint64_t version_ = 0;
-
-  std::atomic<bool> stopping_{false};
+  std::deque<std::function<void()>> queue_;
+  std::vector<std::thread> threads_;
+  bool stopping_ = false;
 };
 
 /// Structured fork/join for nested parallelism on a fixed pool. run()

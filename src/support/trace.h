@@ -185,8 +185,8 @@ void count(const std::string& name, uint64_t delta);
 
 /// Adds `delta` directly to the global counter map, bypassing any TaskScope
 /// or CounterCapture. For schedule-dependent pool internals (pool.tasks,
-/// pool.steals, pool.tasks_nested) that must never enter a deterministic
-/// task record — or a capture that replays into one.
+/// pool.tasks_nested) that must never enter a deterministic task record —
+/// or a capture that replays into one.
 void countGlobal(const std::string& name, uint64_t delta);
 
 /// True when the calling thread is inside a TaskScope.

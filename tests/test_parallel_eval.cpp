@@ -4,10 +4,12 @@
 // The TSan CI job runs this binary.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 #include "cayman/driver.h"
 #include "support/thread_pool.h"
+#include "support/trace.h"
 #include "workloads/workloads.h"
 
 namespace cayman {
@@ -123,6 +125,25 @@ TEST(ParallelEvalTest, HighJobCountsMatchSerial) {
               referenceTable)
         << "jobs=" << jobs;
   }
+}
+
+TEST(ParallelEvalTest, DriverSubmitsOnePoolTaskPerWorkload) {
+  // The driver parallelises across workloads only: each workload is one
+  // pool task and no workload fans out nested subtasks.
+  support::trace::TraceRecorder& recorder =
+      support::trace::TraceRecorder::global();
+  recorder.clear();
+  recorder.setEnabled(true);
+  std::vector<WorkloadEvaluation> evaluations =
+      evaluateWorkloads({"atax", "bicg", "mvt", "fft"}, 0.25, 2);
+  recorder.setEnabled(false);
+  std::vector<std::pair<std::string, uint64_t>> globals =
+      recorder.globalCounters();
+  recorder.clear();
+  EXPECT_EQ(countFailures(evaluations), 0u);
+  std::map<std::string, uint64_t> counters(globals.begin(), globals.end());
+  EXPECT_EQ(counters["pool.tasks"], 4u);
+  EXPECT_EQ(counters.count("pool.tasks_nested"), 0u);
 }
 
 TEST(ParallelEvalTest, EvaluateWorkloadsHonorsNameOrder) {

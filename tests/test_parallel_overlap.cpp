@@ -1,9 +1,12 @@
-// The ctest-enforced overlap guard: two workloads carrying injected 50 ms
+// The ctest-enforced overlap guard: two workloads carrying injected
 // generate stalls must evaluate in well under the serial sum once two pool
 // workers are available — proving the stalls (and therefore independent
 // cold generations) actually overlap — while the rendered table stays
 // byte-identical. The stalls are sleeps, so the guard holds even on a
 // single hardware core; compute time is noise next to the injected delay.
+// The stall is balanced per workload: atax calls generate() 18 times and
+// bicg 13 times, so 39 ms and 54 ms give each about 0.7 s of stalls and
+// perfect overlap a ratio of 0.5 with one worker per workload.
 //
 // This binary must stay order-sensitive: the process-wide shared pool never
 // shrinks, so the jobs=1 run has to happen before anything grows the pool.
@@ -23,7 +26,7 @@ namespace cayman {
 namespace {
 
 TEST(ParallelOverlapTest, InjectedStallsOverlapAcrossWorkloads) {
-  setenv("CAYMAN_INJECT_SLOW", "atax:generate:50000,bicg:generate:50000", 1);
+  setenv("CAYMAN_INJECT_SLOW", "atax:generate:39000,bicg:generate:54000", 1);
   const std::vector<std::string> names = {"atax", "bicg"};
 
   auto timedRun = [&names](unsigned jobs) {

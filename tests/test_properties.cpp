@@ -2,6 +2,8 @@
 // invariants that must hold regardless of program shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cayman/framework.h"
 #include "workloads/workloads.h"
 
@@ -93,6 +95,22 @@ TEST_P(FrameworkPropertyTest, MergingNeverIncreasesArea) {
   EXPECT_GE(merged.areaAfterUm2, 0.0);
   EXPECT_GE(merged.savingPercent(), 0.0);
   EXPECT_LE(merged.savingPercent(), 100.0);
+}
+
+TEST_P(FrameworkPropertyTest, MergedAreaAtLeastLargestAccelerator) {
+  // Merging shares units between accelerators; it cannot make the reusable
+  // hardware smaller than the largest accelerator it has to implement.
+  Framework fw = makeFramework(GetParam());
+  for (double budget : {0.25, 0.65}) {
+    EvaluationReport report = fw.evaluate(budget);
+    double largest = 0.0;
+    for (const accel::AcceleratorConfig& config :
+         report.solution.accelerators) {
+      largest = std::max(largest, config.areaUm2);
+    }
+    EXPECT_GE(report.merging.areaAfterUm2, largest * (1.0 - 1e-9))
+        << "budget " << budget;
+  }
 }
 
 TEST_P(FrameworkPropertyTest, CaymanAlwaysBeatsBothBaselines) {

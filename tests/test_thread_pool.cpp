@@ -235,6 +235,21 @@ TEST(ThreadPoolTest, InPoolTaskReflectsExecutionContext) {
   EXPECT_FALSE(ThreadPool::inPoolTask());
 }
 
+TEST(ThreadPoolTest, SingleWorkerRunsExternalSubmitsInSubmissionOrder) {
+  // The driver's LPT order relies on this: tasks submitted from a thread
+  // outside the pool start in the order they were submitted.
+  ThreadPool pool(1);
+  std::vector<int> order;
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 64; ++i) {
+    futures.push_back(pool.submit([i, &order] { order.push_back(i); }));
+  }
+  for (auto& f : futures) f.get();
+  std::vector<int> expected(64);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
 TEST(ThreadPoolTest, ParallelIndexMapSubmitOrderOnlyChangesEnqueue) {
   ThreadPool pool(4);
   std::vector<size_t> reversed(100);
@@ -319,11 +334,11 @@ TEST(TaskGroupTest, RethrowsLowestSubmissionIndexException) {
   EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
 }
 
-TEST(TaskGroupTest, StolenSubtaskExceptionIsSafe) {
-  // Subtasks submitted from inside a pool task land on the owner's deque;
-  // with several workers some are stolen. A throwing stolen subtask must
-  // reach wait() as an exception without wedging the group, the thief, or
-  // the pool. Repeat to give the steal path real exercise.
+TEST(TaskGroupTest, SubtaskExceptionOnAnotherWorkerIsSafe) {
+  // Subtasks submitted from inside a pool task are run partly by the
+  // helping waiter and partly by other workers. A throwing subtask must
+  // reach wait() as an exception without wedging the group, the worker that
+  // ran it, or the pool. Repeat to give the cross-worker path real exercise.
   ThreadPool pool(4);
   for (int round = 0; round < 20; ++round) {
     std::future<int> outer = pool.submit([&pool, round]() -> int {
