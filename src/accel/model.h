@@ -164,6 +164,24 @@ class AcceleratorModel {
     return sigComparisons_.load(std::memory_order_relaxed);
   }
 
+  /// Base of the selector's per-model memo of reusable subtree fronts. The
+  /// model only owns and locks it (accel cannot name select's types); the
+  /// selector defines the contents. Freed with the model.
+  class SelectorMemo {
+   public:
+    SelectorMemo() = default;
+    virtual ~SelectorMemo() = default;
+    SelectorMemo(const SelectorMemo&) = delete;
+    SelectorMemo& operator=(const SelectorMemo&) = delete;
+  };
+  /// Calls fn(slot) with the memo's lock held and returns its result.
+  /// `slot` is empty until the selector's first run fills it.
+  template <typename Fn>
+  decltype(auto) withSelectorMemo(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(selectorMemoMutex_);
+    return fn(selectorMemo_);
+  }
+
  private:
   struct Estimate {
     double cycles = 0.0;  ///< whole-run cycles
@@ -300,6 +318,9 @@ class AcceleratorModel {
   mutable std::condition_variable generateReady_;
   mutable std::unordered_map<const analysis::Region*, GenerateEntry>
       generateEntries_;
+
+  mutable std::mutex selectorMemoMutex_;
+  mutable std::unique_ptr<SelectorMemo> selectorMemo_;
 };
 
 /// Process-wide high-water mark of concurrently running cold candidate

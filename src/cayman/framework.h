@@ -132,7 +132,8 @@ class Framework {
   /// Pareto-optimal solution sequence under the budget (Algorithm 1).
   /// Thread-safe: concurrent explore/best/evaluate calls on one Framework
   /// share only the model's generate memo (one latch per model: each region
-  /// generates once, later callers wait for it); selector state is per-call.
+  /// generates once, later callers wait for it) and its lock-guarded memo of
+  /// reusable subtree fronts; all other selector state is per-call.
   std::vector<select::Solution> explore(double budgetRatio) const;
   /// Best (highest-saving) solution under the budget.
   select::Solution best(double budgetRatio) const;

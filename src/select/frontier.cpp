@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "select/pareto.h"
-#include "support/trace.h"
 
 namespace cayman::select {
 
@@ -41,6 +40,58 @@ int32_t SolutionArena::merge(int32_t left, int32_t right) {
   node.right = right;
   nodes_.push_back(node);
   return id;
+}
+
+SolutionArena SolutionArena::extract(std::vector<FrontierEntry>& front) const {
+  // Mark what the front reaches. Operands are always allocated before the
+  // merge node naming them, so one descending sweep over the marks visits
+  // every reachable node after all its parents.
+  std::vector<int32_t> remap(nodes_.size(), kEmptyNode);
+  constexpr int32_t kReached = 0;
+  for (const FrontierEntry& entry : front) {
+    if (!entry.empty()) remap[static_cast<size_t>(entry.node)] = kReached;
+  }
+  for (size_t i = nodes_.size(); i-- > 0;) {
+    const Node& n = nodes_[i];
+    if (remap[i] == kEmptyNode || n.configId >= 0) continue;
+    if (n.left != kEmptyNode) remap[static_cast<size_t>(n.left)] = kReached;
+    if (n.right != kEmptyNode) remap[static_cast<size_t>(n.right)] = kReached;
+  }
+  SolutionArena out;
+  auto mapped = [&remap](int32_t id) {
+    return id == kEmptyNode ? kEmptyNode : remap[static_cast<size_t>(id)];
+  };
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (remap[i] == kEmptyNode) continue;
+    const Node& n = nodes_[i];
+    remap[i] = n.configId >= 0
+                   ? out.leaf(configs_[static_cast<size_t>(n.configId)])
+                   : out.merge(mapped(n.left), mapped(n.right));
+  }
+  for (FrontierEntry& entry : front) entry.node = mapped(entry.node);
+  return out;
+}
+
+int32_t SolutionArena::splice(const SolutionArena& other) {
+  const int32_t nodeBase = static_cast<int32_t>(nodes_.size());
+  const int32_t configBase = static_cast<int32_t>(configs_.size());
+  auto shift = [nodeBase](int32_t id) {
+    return id == kEmptyNode ? kEmptyNode : id + nodeBase;
+  };
+  nodes_.reserve(nodes_.size() + other.nodes_.size());
+  for (const Node& n : other.nodes_) {
+    Node copy;
+    if (n.configId >= 0) {
+      copy.configId = n.configId + configBase;
+    } else {
+      copy.left = shift(n.left);
+      copy.right = shift(n.right);
+    }
+    nodes_.push_back(copy);
+  }
+  configs_.insert(configs_.end(), other.configs_.begin(),
+                  other.configs_.end());
+  return nodeBase;
 }
 
 void SolutionArena::appendConfigs(
@@ -106,9 +157,6 @@ std::vector<FrontierEntry> pareto(std::vector<FrontierEntry> entries) {
     entries[kept++] = entry;
   }
   entries.resize(kept);
-  if (support::trace::on() && kept < total) {
-    support::trace::count("select.pareto_dropped", total - kept);
-  }
   assert(isStrictFront(entries) && "pareto() front not strictly monotone");
   return entries;
 }
@@ -128,9 +176,6 @@ std::vector<FrontierEntry> filterByAlpha(std::vector<FrontierEntry> entries,
   }
   entries[kept++] = entries[total - 1];
   entries.resize(kept);
-  if (support::trace::on() && kept < total) {
-    support::trace::count("select.alpha_dropped", total - kept);
-  }
   return entries;
 }
 

@@ -67,6 +67,15 @@ class SolutionArena {
 
   size_t nodeCount() const { return nodes_.size(); }
 
+  /// A self-contained arena holding only the nodes reachable from `front`
+  /// (relative order kept); rewrites `front`'s node ids to index it. The
+  /// selector stores reusable subtree fronts this way.
+  SolutionArena extract(std::vector<FrontierEntry>& front) const;
+
+  /// Appends a copy of every node of `other` and returns the id offset its
+  /// nodes take here: an entry of `other` with node n >= 0 maps to n + offset.
+  int32_t splice(const SolutionArena& other);
+
   /// Appends the configs reachable from `node` in program order.
   void appendConfigs(int32_t node,
                      std::vector<accel::AcceleratorConfig>& out) const;
@@ -90,14 +99,17 @@ FrontierEntry entryFromConfig(const accel::AcceleratorConfig& config,
 FrontierEntry mergeEntries(const FrontierEntry& x, const FrontierEntry& y,
                            double clockRatio, SolutionArena& arena);
 
-/// pareto() over frontier entries — same algorithm, comparator semantics
-/// and trace counter as the Solution overload, minus the per-comparison
-/// savedCycles recomputation (it is cached in the entry). Compacts and
-/// returns `entries` itself rather than building a second vector.
+/// pareto() over frontier entries — same algorithm and comparator semantics
+/// as the Solution overload, minus the per-comparison savedCycles
+/// recomputation (it is cached in the entry). Compacts and returns `entries`
+/// itself rather than building a second vector. Emits no trace counter: the
+/// selector DP counts what it drops (select.pareto_dropped) itself, so a
+/// reused subtree can add the drops it recorded.
 std::vector<FrontierEntry> pareto(std::vector<FrontierEntry> entries);
 
-/// filterByAlpha() over frontier entries — same algorithm and trace counter
-/// as the Solution overload; compacts `entries` in place like pareto().
+/// filterByAlpha() over frontier entries — same algorithm as the Solution
+/// overload; compacts `entries` in place like pareto(). Like pareto(), it
+/// leaves select.alpha_dropped to the DP.
 std::vector<FrontierEntry> filterByAlpha(std::vector<FrontierEntry> entries,
                                          double alpha);
 

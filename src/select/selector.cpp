@@ -1,6 +1,8 @@
 #include "select/selector.h"
 
+#include <algorithm>
 #include <cassert>
+#include <memory>
 #include <utility>
 
 #include "support/error.h"
@@ -43,6 +45,167 @@ void keepWinner(std::vector<T>& front, SavedFn saved) {
 
 }  // namespace
 
+/// What one DP subtree adds up to: its logical Stats (frontPeak is the
+/// subtree's own peak; frontsReused stays 0), the entries its Pareto and α
+/// filters dropped, and its budget comparisons: maxArea, the largest area
+/// compared against the budget, and whether any comparison cut something.
+struct CandidateSelector::Tally {
+  Stats stats;
+  uint64_t paretoDropped = 0;
+  uint64_t alphaDropped = 0;
+  double maxArea = 0.0;
+  bool cut = false;
+
+  void add(const Tally& other) {
+    stats.regionsVisited += other.stats.regionsVisited;
+    stats.regionsPruned += other.stats.regionsPruned;
+    stats.configsGenerated += other.stats.configsGenerated;
+    stats.combinePairs += other.stats.combinePairs;
+    stats.singleConfigSolutions += other.stats.singleConfigSolutions;
+    notePeak(stats, other.stats.frontPeak);
+    paretoDropped += other.paretoDropped;
+    alphaDropped += other.alphaDropped;
+    maxArea = std::max(maxArea, other.maxArea);
+    cut = cut || other.cut;
+  }
+
+  /// One config-area filter: records the comparison, true when it fits.
+  bool fits(double area, double budget) {
+    maxArea = std::max(maxArea, area);
+    if (area > budget) {
+      cut = true;
+      return false;
+    }
+    return true;
+  }
+
+  /// Books one combine(a, b) that admitted `pairs` pairs and kept `kept`.
+  /// With no pair cut, its largest compared sum is a.back() + b.back():
+  /// both fronts ascend in area and floating-point addition is monotone.
+  void combined(const std::vector<FrontierEntry>& a,
+                const std::vector<FrontierEntry>& b, uint64_t pairs,
+                size_t kept) {
+    stats.combinePairs += pairs;
+    paretoDropped += pairs - kept;
+    if (pairs < a.size() * b.size()) {
+      cut = true;
+    } else if (!a.empty() && !b.empty()) {
+      maxArea = std::max(maxArea, a.back().areaUm2 + b.back().areaUm2);
+    }
+  }
+
+  /// pareto() then filter(), counting the drops.
+  std::vector<FrontierEntry> paretoFilter(std::vector<FrontierEntry> entries,
+                                          double alpha) {
+    const size_t total = entries.size();
+    entries = pareto(std::move(entries));
+    paretoDropped += total - entries.size();
+    return filter(std::move(entries), alpha);
+  }
+
+  /// filterByAlpha(), counting the drops and the peak front.
+  std::vector<FrontierEntry> filter(std::vector<FrontierEntry> entries,
+                                    double alpha) {
+    const size_t total = entries.size();
+    entries = filterByAlpha(std::move(entries), alpha);
+    alphaDropped += total - entries.size();
+    notePeak(stats, entries.size());
+    return entries;
+  }
+};
+
+/// A cut-free subtree front, the same at every budget >= tally.maxArea.
+struct CandidateSelector::StoredFront {
+  std::vector<FrontierEntry> front;  ///< node ids index `arena`
+  SolutionArena arena;
+  Tally tally;
+};
+
+/// One (α, prune fraction, clock ratio) set: the runs made with it and the
+/// fronts stored for it, at most one per region (any two cut-free fronts of
+/// a region are identical). Written and read only under the memo's lock;
+/// stored fronts are immutable and live as long as the model.
+struct CandidateSelector::FrontSet {
+  double alpha = 0.0;
+  double pruneHotFraction = 0.0;
+  double clockRatio = 0.0;
+  uint64_t runs = 0;
+  std::unordered_map<const Region*, std::unique_ptr<const StoredFront>>
+      fronts;
+};
+
+struct CandidateSelector::FrontMemo : accel::AcceleratorModel::SelectorMemo {
+  std::vector<std::unique_ptr<FrontSet>> sets;
+};
+
+/// One Frontier run's DP state.
+struct CandidateSelector::Dp {
+  Dp(const CandidateLists& lists, const ReuseMap& reuse, bool storing)
+      : lists(lists), reuse(reuse), storing(storing) {}
+
+  const CandidateLists& lists;
+  const ReuseMap& reuse;
+  /// Not the model's first run with these params: store cut-free fronts.
+  const bool storing;
+  SolutionArena arena;
+  uint64_t frontsReused = 0;
+  /// Arena nodes the reused subtrees stand for, and the nodes splicing
+  /// their stored arenas in actually built.
+  uint64_t reusedNodes = 0;
+  uint64_t splicedNodes = 0;
+  /// Fronts to store, committed only after the whole DP finished, so a
+  /// cancelled run stores nothing.
+  std::vector<std::pair<const Region*, std::unique_ptr<StoredFront>>>
+      toStore;
+
+  std::vector<FrontierEntry> splice(const StoredFront& stored,
+                                    Tally& parent) {
+    const int32_t base = arena.splice(stored.arena);
+    std::vector<FrontierEntry> front = stored.front;
+    for (FrontierEntry& entry : front) {
+      if (!entry.empty()) entry.node += base;
+    }
+    parent.add(stored.tally);
+    ++frontsReused;
+    reusedNodes += stored.tally.stats.arenaNodes();
+    splicedNodes += stored.arena.nodeCount();
+    return front;
+  }
+
+  void store(const Region* region, const std::vector<FrontierEntry>& front,
+             const Tally& tally) {
+    auto stored = std::make_unique<StoredFront>();
+    stored->front = front;
+    stored->arena = arena.extract(stored->front);
+    stored->tally = tally;
+    toStore.emplace_back(region, std::move(stored));
+  }
+};
+
+CandidateSelector::FrontSet* CandidateSelector::countRun() const {
+  return model_.withSelectorMemo(
+      [this](std::unique_ptr<accel::AcceleratorModel::SelectorMemo>& slot) {
+        if (slot == nullptr) slot = std::make_unique<FrontMemo>();
+        auto& memo = static_cast<FrontMemo&>(*slot);
+        FrontSet* set = nullptr;
+        for (const std::unique_ptr<FrontSet>& candidate : memo.sets) {
+          if (candidate->alpha == params_.alpha &&
+              candidate->pruneHotFraction == params_.pruneHotFraction &&
+              candidate->clockRatio == params_.clockRatio) {
+            set = candidate.get();
+          }
+        }
+        if (set == nullptr) {
+          memo.sets.push_back(std::make_unique<FrontSet>());
+          set = memo.sets.back().get();
+          set->alpha = params_.alpha;
+          set->pruneHotFraction = params_.pruneHotFraction;
+          set->clockRatio = params_.clockRatio;
+        }
+        return set->runs++ == 0 ? nullptr : set;
+      });
+}
+
 const std::vector<accel::AcceleratorConfig>& CandidateSelector::candidatesFor(
     const CandidateLists& lists, const Region* region) {
   auto it = lists.find(region);
@@ -59,26 +222,45 @@ bool CandidateSelector::prunes(const Region* region) const {
          model_.profile().hotFraction(region) < params_.pruneHotFraction;
 }
 
-void CandidateSelector::collectRegions(
-    const Region* region, std::vector<const Region*>& order) const {
+void CandidateSelector::collectRegions(const Region* region,
+                                       const FrontSet* fronts,
+                                       std::vector<const Region*>& order,
+                                       ReuseMap& reuse) const {
   if (params_.cancel != nullptr) {
     params_.cancel->check(support::Stage::Select, region->label());
   }
   if (prunes(region)) return;
+  if (fronts != nullptr) {
+    auto it = fronts->fronts.find(region);
+    if (it != fronts->fronts.end() &&
+        it->second->tally.maxArea <= params_.areaBudgetUm2) {
+      reuse.emplace(region, it->second.get());
+      return;
+    }
+  }
   if (region->kind() == RegionKind::Bb) {
     order.push_back(region);
     return;
   }
   for (const auto& child : region->children()) {
-    collectRegions(child.get(), order);
+    collectRegions(child.get(), fronts, order, reuse);
   }
   if (region->isCtrlFlow()) order.push_back(region);
 }
 
-void CandidateSelector::collectCandidates(const Region* region,
-                                          CandidateLists& lists) const {
+void CandidateSelector::collectCandidates(const FrontSet* fronts,
+                                          CandidateLists& lists,
+                                          ReuseMap& reuse) const {
   std::vector<const Region*> order;
-  collectRegions(region, order);
+  const Region* root = model_.wpst().root();
+  if (fronts == nullptr) {
+    collectRegions(root, nullptr, order, reuse);
+  } else {
+    // Concurrent runs store into the same set: look up under its lock.
+    model_.withSelectorMemo([&](auto&) {
+      collectRegions(root, fronts, order, reuse);
+    });
+  }
   std::vector<const std::vector<accel::AcceleratorConfig>*> generated =
       model_.generateAll(order);
   lists.reserve(order.size());
@@ -143,55 +325,55 @@ std::vector<Solution> CandidateSelector::dpReference(
 }
 
 std::vector<FrontierEntry> CandidateSelector::dpFrontier(
-    const Region* region, const CandidateLists& lists, Stats& stats,
-    SolutionArena& arena) const {
-  ++stats.regionsVisited;
+    const Region* region, Dp& dp, Tally& parent) const {
+  if (!dp.reuse.empty()) {
+    auto it = dp.reuse.find(region);
+    if (it != dp.reuse.end()) return dp.splice(*it->second, parent);
+  }
+  Tally tally;
+  ++tally.stats.regionsVisited;
   if (params_.cancel != nullptr) {
     params_.cancel->check(support::Stage::Select, region->label());
   }
 
   if (prunes(region)) {
-    ++stats.regionsPruned;
+    ++tally.stats.regionsPruned;
+    parent.add(tally);
     return {FrontierEntry{}};
   }
 
+  auto addConfigs = [&](std::vector<FrontierEntry>& front) {
+    for (const accel::AcceleratorConfig& config :
+         candidatesFor(dp.lists, region)) {
+      ++tally.stats.configsGenerated;
+      if (!tally.fits(config.areaUm2, params_.areaBudgetUm2)) continue;
+      ++tally.stats.singleConfigSolutions;
+      front.push_back(entryFromConfig(config, params_.clockRatio, dp.arena));
+    }
+  };
+
   std::vector<FrontierEntry> front{FrontierEntry{}};
-
   if (region->kind() == RegionKind::Bb) {
-    std::vector<FrontierEntry> options{FrontierEntry{}};
-    for (const accel::AcceleratorConfig& config :
-         candidatesFor(lists, region)) {
-      ++stats.configsGenerated;
-      if (config.areaUm2 > params_.areaBudgetUm2) continue;
-      ++stats.singleConfigSolutions;
-      options.push_back(entryFromConfig(config, params_.clockRatio, arena));
+    addConfigs(front);
+    front = tally.paretoFilter(std::move(front), params_.alpha);
+  } else {
+    for (const auto& child : region->children()) {
+      std::vector<FrontierEntry> childFront =
+          dpFrontier(child.get(), dp, tally);
+      uint64_t pairs = 0;
+      std::vector<FrontierEntry> merged =
+          combine(front, childFront, params_.areaBudgetUm2,
+                  params_.clockRatio, dp.arena, &pairs);
+      tally.combined(front, childFront, pairs, merged.size());
+      front = tally.filter(std::move(merged), params_.alpha);
     }
-    front = filterByAlpha(pareto(std::move(options)), params_.alpha);
-    notePeak(stats, front.size());
-    return front;
-  }
-
-  for (const auto& child : region->children()) {
-    std::vector<FrontierEntry> childFront =
-        dpFrontier(child.get(), lists, stats, arena);
-    front = filterByAlpha(
-        combine(front, childFront, params_.areaBudgetUm2, params_.clockRatio,
-                arena, &stats.combinePairs),
-        params_.alpha);
-    notePeak(stats, front.size());
-  }
-
-  if (region->isCtrlFlow()) {
-    for (const accel::AcceleratorConfig& config :
-         candidatesFor(lists, region)) {
-      ++stats.configsGenerated;
-      if (config.areaUm2 > params_.areaBudgetUm2) continue;
-      ++stats.singleConfigSolutions;
-      front.push_back(entryFromConfig(config, params_.clockRatio, arena));
+    if (region->isCtrlFlow()) {
+      addConfigs(front);
+      front = tally.paretoFilter(std::move(front), params_.alpha);
     }
-    front = filterByAlpha(pareto(std::move(front)), params_.alpha);
-    notePeak(stats, front.size());
   }
+  if (dp.storing && !tally.cut) dp.store(region, front, tally);
+  parent.add(tally);
   return front;
 }
 
@@ -203,11 +385,18 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
   // first computation into select.dp made the DP look ~5x more expensive
   // than it is. No new span is opened for it, so the deterministic trace
   // event stream is unchanged.
+  //
+  // The Reference engine, the differential oracle, never touches the
+  // subtree-front memo.
+  const bool reference = params_.mode == SelectMode::Reference;
+  FrontSet* fronts = reference ? nullptr : countRun();
   CandidateLists lists;
-  collectCandidates(model_.wpst().root(), lists);
+  ReuseMap reuse;
+  collectCandidates(fronts, lists, reuse);
   support::trace::Span span("select.dp", "select");
   std::vector<Solution> front;
-  if (params_.mode == SelectMode::Reference) {
+  Tally total;
+  if (reference) {
     front = dpReference(model_.wpst().root(), lists, stats);
     if (bestOnly) {
       keepWinner(front, [this](const Solution& s) {
@@ -215,11 +404,21 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
       });
     }
   } else {
-    SolutionArena arena;
+    Dp dp(lists, reuse, /*storing=*/fronts != nullptr);
     std::vector<FrontierEntry> entries =
-        dpFrontier(model_.wpst().root(), lists, stats, arena);
-    assert(arena.nodeCount() == stats.arenaNodes() &&
+        dpFrontier(model_.wpst().root(), dp, total);
+    stats = total.stats;
+    stats.frontsReused = dp.frontsReused;
+    assert(dp.arena.nodeCount() ==
+               stats.arenaNodes() - dp.reusedNodes + dp.splicedNodes &&
            "arena grew out of step with the leaf/pair counters");
+    if (!dp.toStore.empty()) {
+      model_.withSelectorMemo([&](auto&) {
+        for (auto& [region, stored] : dp.toStore) {
+          fronts->fronts.try_emplace(region, std::move(stored));
+        }
+      });
+    }
     // Decide on the scalar records, then deep-copy only what is kept.
     if (bestOnly) {
       keepWinner(entries,
@@ -227,7 +426,7 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
     }
     front.reserve(entries.size());
     for (const FrontierEntry& entry : entries) {
-      front.push_back(materialize(entry, arena));
+      front.push_back(materialize(entry, dp.arena));
     }
   }
   if (support::trace::on()) {
@@ -241,6 +440,16 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
     support::trace::count("select.front_peak",
                           static_cast<uint64_t>(stats.frontPeak));
     support::trace::count("select.arena_nodes", stats.arenaNodes());
+    // The Reference engine's filters count their own drops as they run.
+    if (total.paretoDropped > 0) {
+      support::trace::count("select.pareto_dropped", total.paretoDropped);
+    }
+    if (total.alphaDropped > 0) {
+      support::trace::count("select.alpha_dropped", total.alphaDropped);
+    }
+    if (stats.frontsReused > 0) {
+      support::trace::count("select.fronts_reused", stats.frontsReused);
+    }
   }
   return front;
 }

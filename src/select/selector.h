@@ -1,6 +1,15 @@
 // Candidate selection (paper §III-D, Algorithm 1): a knapsack over the wPST
 // solved by dynamic programming with Pareto sequences, the ⊗ combine, the
 // α-filter and heuristic hotspot pruning.
+//
+// Budget-monotone subtree reuse (Frontier engine only). The budget enters
+// the DP only where an area is compared against it: the Bb and ctrl-flow
+// config filters and combine()'s early break. A subtree whose comparisons
+// cut nothing computes the same front at every budget B >= M, the largest
+// area it compared. From a model's second selector run with one (α, prune
+// fraction, clock ratio), every cut-free subtree front is stored on the
+// model with its M and its logical Stats; a later run at a budget >= M
+// reuses it bit for bit, skipping that subtree's pre-pass walk and DP.
 #pragma once
 
 #include <unordered_map>
@@ -62,6 +71,11 @@ class CandidateSelector {
     uint64_t singleConfigSolutions = 0;
     /// Largest post-filter front either DP path carried.
     size_t frontPeak = 0;
+    /// Stored subtree fronts this run reused (select.fronts_reused). The
+    /// only field that depends on what earlier runs stored; every other
+    /// field counts a reused subtree's work as if it ran, so it is a pure
+    /// function of the model and the params.
+    uint64_t frontsReused = 0;
 
     /// Reconstruction-arena size the run implies: one node per leaf plus
     /// one per admitted merge. Counted identically in both modes so
@@ -72,8 +86,8 @@ class CandidateSelector {
   /// Runs Algorithm 1 and returns F[root]: the Pareto-optimal solution
   /// sequence under the area budget, ascending in area. Stats accumulate
   /// into the caller-owned `stats`, so one selector can run concurrently
-  /// from several threads (the model's generate cache is internally
-  /// synchronized; the selector itself holds no mutable state).
+  /// from several threads: the const runs share only the model's generate
+  /// cache and its subtree-front memo, both lock-guarded on the model.
   std::vector<Solution> select(Stats& stats) const;
 
   /// The single best solution under the budget: the first entry of F[root]
@@ -97,24 +111,44 @@ class CandidateSelector {
       std::unordered_map<const analysis::Region*,
                          const std::vector<accel::AcceleratorConfig>*>;
 
+  // Defined in selector.cpp: the logical cost of one DP subtree, a stored
+  // cut-free subtree front, one parameter set's stored fronts, the memo
+  // holding every set in the model's slot, and one Frontier run's DP state.
+  struct Tally;
+  struct StoredFront;
+  struct FrontSet;
+  struct FrontMemo;
+  struct Dp;
+  /// Stored fronts the DP splices in place of their subtree, keyed by
+  /// region (lookup-only, like CandidateLists).
+  using ReuseMap =
+      std::unordered_map<const analysis::Region*, const StoredFront*>;
+
   /// True when the DP prunes this region's subtree (the hotspot heuristic).
   bool prunes(const analysis::Region* region) const;
+
+  /// Counts this run on the model's memo and returns the parameter set's
+  /// stored fronts, or nullptr on the model's first run with these params:
+  /// that run looks up and stores nothing.
+  FrontSet* countRun() const;
 
   /// Pre-pass mirroring the DP traversal: records, in the DP's exact query
   /// order, every region the DP will ask candidates for, then batch-
   /// generates them through model_.generateAll() — the same per-region call
-  /// pattern the DP used to make inline (so model.cache_* counter totals are
-  /// unchanged), except cold regions fan out on the model's worker pool when
-  /// one is configured. Runs outside the select.dp span: generation is
+  /// pattern the DP makes, except cold regions fan out on the model's
+  /// worker pool when one is configured. With `fronts`, a subtree whose
+  /// stored front is reusable at this budget is entered into `reuse`
+  /// instead of walked. Runs outside the select.dp span: generation is
   /// memoized, budget-independent model work, and attributing its first
   /// (cold) computation to the DP span hid what the DP itself costs.
-  void collectCandidates(const analysis::Region* region,
-                         CandidateLists& lists) const;
+  void collectCandidates(const FrontSet* fronts, CandidateLists& lists,
+                         ReuseMap& reuse) const;
   /// The recursive walk behind collectCandidates: emits the DP-queried
   /// regions post-order into `order` (Bb leaves as encountered, ctrl-flow
   /// regions after their children).
-  void collectRegions(const analysis::Region* region,
-                      std::vector<const analysis::Region*>& order) const;
+  void collectRegions(const analysis::Region* region, const FrontSet* fronts,
+                      std::vector<const analysis::Region*>& order,
+                      ReuseMap& reuse) const;
 
   /// Looks up a pre-collected candidate list; the pre-pass mirrors the DP
   /// traversal exactly, so a miss is a traversal bug, not a data condition.
@@ -130,10 +164,12 @@ class CandidateSelector {
   std::vector<Solution> dpReference(const analysis::Region* region,
                                     const CandidateLists& lists,
                                     Stats& stats) const;
+  /// Frontier DP over one subtree: splices in its stored front when the
+  /// pre-pass marked it reusable, otherwise computes the front (queueing it
+  /// for storage when no budget comparison cut anything). Adds the
+  /// subtree's Tally into `parent`.
   std::vector<FrontierEntry> dpFrontier(const analysis::Region* region,
-                                        const CandidateLists& lists,
-                                        Stats& stats,
-                                        SolutionArena& arena) const;
+                                        Dp& dp, Tally& parent) const;
 
   const accel::AcceleratorModel& model_;
   SelectorParams params_;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <utility>
 
 namespace cayman::support::trace {
 
@@ -70,7 +71,7 @@ void TraceRecorder::clear() {
   orphanLabels_ = 0;
 }
 
-void TraceRecorder::countGlobal(const std::string& name, uint64_t delta) {
+void TraceRecorder::countGlobal(std::string_view name, uint64_t delta) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [existing, value] : globalCounters_) {
     if (existing == name) {
@@ -78,7 +79,7 @@ void TraceRecorder::countGlobal(const std::string& name, uint64_t delta) {
       return;
     }
   }
-  globalCounters_.emplace_back(name, delta);
+  globalCounters_.emplace_back(std::string(name), delta);
 }
 
 void TraceRecorder::setGauge(const std::string& name, int64_t value) {
@@ -168,7 +169,9 @@ void setThreadLabel(std::string label) { t_orphan.label = std::move(label); }
 
 struct TaskScope::State {
   TaskRecord record;
-  std::map<std::string, uint64_t> counters;
+  /// Transparent comparator: count() looks names up by view and copies one
+  /// into the map only on its first use in the task.
+  std::map<std::string, uint64_t, std::less<>> counters;
   std::map<std::string, double> stages;
 };
 
@@ -207,7 +210,8 @@ TaskScope::~TaskScope() {
 }
 
 struct CounterCapture::State {
-  std::map<std::string, uint64_t> counters;
+  /// Sorted by name, so take() hands the vector over without copying.
+  std::vector<std::pair<std::string, uint64_t>> counters;
 };
 
 namespace {
@@ -235,10 +239,7 @@ CounterCapture::~CounterCapture() {
 }
 
 std::vector<std::pair<std::string, uint64_t>> CounterCapture::take() {
-  std::vector<std::pair<std::string, uint64_t>> result(
-      state_->counters.begin(), state_->counters.end());
-  state_->counters.clear();
-  return result;
+  return std::exchange(state_->counters, {});
 }
 
 Span::Span(std::string name, std::string category) {
@@ -257,18 +258,34 @@ Span::~Span() {
   eventSink().push_back(Event{Event::Phase::End, name_, category_, nowNs()});
 }
 
-void count(const std::string& name, uint64_t delta) {
+void count(std::string_view name, uint64_t delta) {
   if (!on()) return;
   if (t_capture != nullptr) {
-    t_capture->counters[name] += delta;
+    std::vector<std::pair<std::string, uint64_t>>& counters =
+        t_capture->counters;
+    auto it = std::lower_bound(
+        counters.begin(), counters.end(), name,
+        [](const auto& entry, std::string_view key) {
+          return entry.first < key;
+        });
+    if (it != counters.end() && it->first == name) {
+      it->second += delta;
+    } else {
+      counters.emplace(it, std::string(name), delta);
+    }
   } else if (t_current != nullptr) {
-    t_current->counters[name] += delta;
+    auto it = t_current->counters.find(name);
+    if (it != t_current->counters.end()) {
+      it->second += delta;
+    } else {
+      t_current->counters.emplace(std::string(name), delta);
+    }
   } else {
     TraceRecorder::global().countGlobal(name, delta);
   }
 }
 
-void countGlobal(const std::string& name, uint64_t delta) {
+void countGlobal(std::string_view name, uint64_t delta) {
   if (!on()) return;
   TraceRecorder::global().countGlobal(name, delta);
 }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/json.h"
@@ -83,7 +84,7 @@ class TraceRecorder {
 
   /// Global (out-of-task) counters: schedule-independent totals like
   /// pool.tasks. Thread-safe.
-  void countGlobal(const std::string& name, uint64_t delta);
+  void countGlobal(std::string_view name, uint64_t delta);
   /// Global gauges: last-written values (e.g. pool.workers). Thread-safe.
   void setGauge(const std::string& name, int64_t value);
   /// Raises gauge `name` to at least `value` — a monotonic high-water mark
@@ -180,14 +181,15 @@ class CounterCapture {
 
 /// Adds `delta` to counter `name` (no-op when tracing is off): into the
 /// innermost CounterCapture if one is active on this thread, else
-/// task-local inside a TaskScope (fully deterministic), else global.
-void count(const std::string& name, uint64_t delta);
+/// task-local inside a TaskScope (fully deterministic), else global. Takes a
+/// view so a call with tracing off builds no key string.
+void count(std::string_view name, uint64_t delta);
 
 /// Adds `delta` directly to the global counter map, bypassing any TaskScope
 /// or CounterCapture. For schedule-dependent pool internals (pool.tasks,
 /// pool.tasks_nested) that must never enter a deterministic task record —
 /// or a capture that replays into one.
-void countGlobal(const std::string& name, uint64_t delta);
+void countGlobal(std::string_view name, uint64_t delta);
 
 /// True when the calling thread is inside a TaskScope.
 bool inTask();

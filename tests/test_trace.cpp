@@ -151,6 +151,20 @@ TEST_F(TraceTest, CounterCaptureTakeSortsByNameAndClears) {
   EXPECT_EQ(capture.take(), (Counts{{"mid", 1}}));
 }
 
+TEST_F(TraceTest, CounterCaptureSortsNamesInsertedInReverseOrder) {
+  trace::CounterCapture capture;
+  for (const char* name : {"sched.e", "sched.d", "sched.c", "sched.b",
+                           "sched.a"}) {
+    trace::count(name, 1);
+  }
+  trace::count(std::string("sched.c"), 2);
+  EXPECT_EQ(capture.take(), (Counts{{"sched.a", 1},
+                                    {"sched.b", 1},
+                                    {"sched.c", 3},
+                                    {"sched.d", 1},
+                                    {"sched.e", 1}}));
+}
+
 TEST_F(TraceTest, CapturedCountsReachNeitherTaskScopeNorGlobal) {
   {
     trace::TaskScope scope("atax", 0);
