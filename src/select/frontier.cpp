@@ -42,56 +42,31 @@ int32_t SolutionArena::merge(int32_t left, int32_t right) {
   return id;
 }
 
-SolutionArena SolutionArena::extract(std::vector<FrontierEntry>& front) const {
-  // Mark what the front reaches. Operands are always allocated before the
-  // merge node naming them, so one descending sweep over the marks visits
-  // every reachable node after all its parents.
-  std::vector<int32_t> remap(nodes_.size(), kEmptyNode);
-  constexpr int32_t kReached = 0;
-  for (const FrontierEntry& entry : front) {
-    if (!entry.empty()) remap[static_cast<size_t>(entry.node)] = kReached;
-  }
-  for (size_t i = nodes_.size(); i-- > 0;) {
-    const Node& n = nodes_[i];
-    if (remap[i] == kEmptyNode || n.configId >= 0) continue;
-    if (n.left != kEmptyNode) remap[static_cast<size_t>(n.left)] = kReached;
-    if (n.right != kEmptyNode) remap[static_cast<size_t>(n.right)] = kReached;
-  }
-  SolutionArena out;
-  auto mapped = [&remap](int32_t id) {
-    return id == kEmptyNode ? kEmptyNode : remap[static_cast<size_t>(id)];
+int32_t SolutionArena::splice(const SolutionArena& other, int32_t begin,
+                              int32_t end) {
+  const int32_t offset = static_cast<int32_t>(nodes_.size()) - begin;
+  auto shift = [offset](int32_t id) {
+    return id == kEmptyNode ? kEmptyNode : id + offset;
   };
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (remap[i] == kEmptyNode) continue;
-    const Node& n = nodes_[i];
-    remap[i] = n.configId >= 0
-                   ? out.leaf(configs_[static_cast<size_t>(n.configId)])
-                   : out.merge(mapped(n.left), mapped(n.right));
-  }
-  for (FrontierEntry& entry : front) entry.node = mapped(entry.node);
-  return out;
-}
-
-int32_t SolutionArena::splice(const SolutionArena& other) {
-  const int32_t nodeBase = static_cast<int32_t>(nodes_.size());
-  const int32_t configBase = static_cast<int32_t>(configs_.size());
-  auto shift = [nodeBase](int32_t id) {
-    return id == kEmptyNode ? kEmptyNode : id + nodeBase;
-  };
-  nodes_.reserve(nodes_.size() + other.nodes_.size());
-  for (const Node& n : other.nodes_) {
+  nodes_.reserve(nodes_.size() + static_cast<size_t>(end - begin));
+  for (int32_t id = begin; id < end; ++id) {
+    const Node& n = other.nodes_[static_cast<size_t>(id)];
     Node copy;
     if (n.configId >= 0) {
-      copy.configId = n.configId + configBase;
+      copy.configId = static_cast<int32_t>(configs_.size());
+      configs_.push_back(other.configs_[static_cast<size_t>(n.configId)]);
     } else {
+      // Operands precede the node naming them, so only `begin` can be
+      // crossed.
+      assert((n.left == kEmptyNode || n.left >= begin) &&
+             (n.right == kEmptyNode || n.right >= begin) &&
+             "splice() range names an operand before it");
       copy.left = shift(n.left);
       copy.right = shift(n.right);
     }
     nodes_.push_back(copy);
   }
-  configs_.insert(configs_.end(), other.configs_.begin(),
-                  other.configs_.end());
-  return nodeBase;
+  return offset;
 }
 
 void SolutionArena::appendConfigs(

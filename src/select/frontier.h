@@ -67,14 +67,10 @@ class SolutionArena {
 
   size_t nodeCount() const { return nodes_.size(); }
 
-  /// A self-contained arena holding only the nodes reachable from `front`
-  /// (relative order kept); rewrites `front`'s node ids to index it. The
-  /// selector stores reusable subtree fronts this way.
-  SolutionArena extract(std::vector<FrontierEntry>& front) const;
-
-  /// Appends a copy of every node of `other` and returns the id offset its
-  /// nodes take here: an entry of `other` with node n >= 0 maps to n + offset.
-  int32_t splice(const SolutionArena& other);
+  /// Appends a copy of `other`'s nodes [begin, end), whose operands must
+  /// all lie in that range, and returns the id offset they take here: a
+  /// node n of the range maps to n + offset.
+  int32_t splice(const SolutionArena& other, int32_t begin, int32_t end);
 
   /// Appends the configs reachable from `node` in program order.
   void appendConfigs(int32_t node,

@@ -57,12 +57,7 @@ struct CandidateSelector::Tally {
   bool cut = false;
 
   void add(const Tally& other) {
-    stats.regionsVisited += other.stats.regionsVisited;
-    stats.regionsPruned += other.stats.regionsPruned;
-    stats.configsGenerated += other.stats.configsGenerated;
-    stats.combinePairs += other.stats.combinePairs;
-    stats.singleConfigSolutions += other.stats.singleConfigSolutions;
-    notePeak(stats, other.stats.frontPeak);
+    stats += other.stats;
     paretoDropped += other.paretoDropped;
     alphaDropped += other.alphaDropped;
     maxArea = std::max(maxArea, other.maxArea);
@@ -114,22 +109,26 @@ struct CandidateSelector::Tally {
   }
 };
 
-/// A cut-free subtree front, the same at every budget >= tally.maxArea.
+/// A cut-free subtree front, the same at every budget >= tally.maxArea. It
+/// keeps the arena of the run that stored it (shared by every front that
+/// run stored); its subtree's nodes are that arena's range [begin, end),
+/// everything the subtree's DP allocated, kept or dropped.
 struct CandidateSelector::StoredFront {
   std::vector<FrontierEntry> front;  ///< node ids index `arena`
-  SolutionArena arena;
+  std::shared_ptr<const SolutionArena> arena;
+  int32_t begin = 0;
+  int32_t end = 0;
   Tally tally;
 };
 
-/// One (α, prune fraction, clock ratio) set: the runs made with it and the
-/// fronts stored for it, at most one per region (any two cut-free fronts of
-/// a region are identical). Written and read only under the memo's lock;
-/// stored fronts are immutable and live as long as the model.
+/// One (α, prune fraction, clock ratio) set: the fronts stored for it, at
+/// most one per region (any two cut-free fronts of a region are identical).
+/// Written and read only under the memo's lock; stored fronts are immutable
+/// and live as long as the model.
 struct CandidateSelector::FrontSet {
   double alpha = 0.0;
   double pruneHotFraction = 0.0;
   double clockRatio = 0.0;
-  uint64_t runs = 0;
   std::unordered_map<const Region*, std::unique_ptr<const StoredFront>>
       fronts;
 };
@@ -140,49 +139,44 @@ struct CandidateSelector::FrontMemo : accel::AcceleratorModel::SelectorMemo {
 
 /// One Frontier run's DP state.
 struct CandidateSelector::Dp {
-  Dp(const CandidateLists& lists, const ReuseMap& reuse, bool storing)
-      : lists(lists), reuse(reuse), storing(storing) {}
+  Dp(const CandidateLists& lists, const ReuseMap& reuse)
+      : lists(lists), reuse(reuse) {}
 
   const CandidateLists& lists;
   const ReuseMap& reuse;
-  /// Not the model's first run with these params: store cut-free fronts.
-  const bool storing;
   SolutionArena arena;
   uint64_t frontsReused = 0;
   /// Arena nodes the reused subtrees stand for, and the nodes splicing
   /// their stored arenas in actually built.
   uint64_t reusedNodes = 0;
   uint64_t splicedNodes = 0;
-  /// Fronts to store, committed only after the whole DP finished, so a
-  /// cancelled run stores nothing.
-  std::vector<std::pair<const Region*, std::unique_ptr<StoredFront>>>
-      toStore;
+  /// Cut-free fronts to store, their `arena` still unset. Stored only after
+  /// the whole DP finished, so a cancelled run stores nothing.
+  std::vector<std::pair<const Region*, std::unique_ptr<StoredFront>>> pending;
 
   std::vector<FrontierEntry> splice(const StoredFront& stored,
                                     Tally& parent) {
-    const int32_t base = arena.splice(stored.arena);
+    const int32_t offset =
+        arena.splice(*stored.arena, stored.begin, stored.end);
     std::vector<FrontierEntry> front = stored.front;
     for (FrontierEntry& entry : front) {
-      if (!entry.empty()) entry.node += base;
+      if (!entry.empty()) entry.node += offset;
     }
     parent.add(stored.tally);
     ++frontsReused;
     reusedNodes += stored.tally.stats.arenaNodes();
-    splicedNodes += stored.arena.nodeCount();
+    splicedNodes += static_cast<uint64_t>(stored.end - stored.begin);
     return front;
   }
 
-  void store(const Region* region, const std::vector<FrontierEntry>& front,
-             const Tally& tally) {
-    auto stored = std::make_unique<StoredFront>();
-    stored->front = front;
-    stored->arena = arena.extract(stored->front);
-    stored->tally = tally;
-    toStore.emplace_back(region, std::move(stored));
+  /// Hands the run's arena to every pending front.
+  void shareArena() {
+    auto shared = std::make_shared<const SolutionArena>(std::move(arena));
+    for (auto& entry : pending) entry.second->arena = shared;
   }
 };
 
-CandidateSelector::FrontSet* CandidateSelector::countRun() const {
+CandidateSelector::FrontSet* CandidateSelector::frontSet() const {
   return model_.withSelectorMemo(
       [this](std::unique_ptr<accel::AcceleratorModel::SelectorMemo>& slot) {
         if (slot == nullptr) slot = std::make_unique<FrontMemo>();
@@ -193,6 +187,7 @@ CandidateSelector::FrontSet* CandidateSelector::countRun() const {
               candidate->pruneHotFraction == params_.pruneHotFraction &&
               candidate->clockRatio == params_.clockRatio) {
             set = candidate.get();
+            break;
           }
         }
         if (set == nullptr) {
@@ -202,7 +197,7 @@ CandidateSelector::FrontSet* CandidateSelector::countRun() const {
           set->pruneHotFraction = params_.pruneHotFraction;
           set->clockRatio = params_.clockRatio;
         }
-        return set->runs++ == 0 ? nullptr : set;
+        return set;
       });
 }
 
@@ -330,6 +325,7 @@ std::vector<FrontierEntry> CandidateSelector::dpFrontier(
     auto it = dp.reuse.find(region);
     if (it != dp.reuse.end()) return dp.splice(*it->second, parent);
   }
+  const size_t arenaStart = dp.arena.nodeCount();
   Tally tally;
   ++tally.stats.regionsVisited;
   if (params_.cancel != nullptr) {
@@ -372,7 +368,14 @@ std::vector<FrontierEntry> CandidateSelector::dpFrontier(
       front = tally.paretoFilter(std::move(front), params_.alpha);
     }
   }
-  if (dp.storing && !tally.cut) dp.store(region, front, tally);
+  // A Bb leaf's front is rebuilt from its candidate list about as fast as
+  // a stored copy is spliced in, so leaves are not stored.
+  if (!tally.cut && region->kind() != RegionKind::Bb) {
+    dp.pending.emplace_back(
+        region, std::make_unique<StoredFront>(StoredFront{
+                    front, nullptr, static_cast<int32_t>(arenaStart),
+                    static_cast<int32_t>(dp.arena.nodeCount()), tally}));
+  }
   parent.add(tally);
   return front;
 }
@@ -389,7 +392,7 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
   // The Reference engine, the differential oracle, never touches the
   // subtree-front memo.
   const bool reference = params_.mode == SelectMode::Reference;
-  FrontSet* fronts = reference ? nullptr : countRun();
+  FrontSet* fronts = reference ? nullptr : frontSet();
   CandidateLists lists;
   ReuseMap reuse;
   collectCandidates(fronts, lists, reuse);
@@ -404,7 +407,7 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
       });
     }
   } else {
-    Dp dp(lists, reuse, /*storing=*/fronts != nullptr);
+    Dp dp(lists, reuse);
     std::vector<FrontierEntry> entries =
         dpFrontier(model_.wpst().root(), dp, total);
     stats = total.stats;
@@ -412,13 +415,6 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
     assert(dp.arena.nodeCount() ==
                stats.arenaNodes() - dp.reusedNodes + dp.splicedNodes &&
            "arena grew out of step with the leaf/pair counters");
-    if (!dp.toStore.empty()) {
-      model_.withSelectorMemo([&](auto&) {
-        for (auto& [region, stored] : dp.toStore) {
-          fronts->fronts.try_emplace(region, std::move(stored));
-        }
-      });
-    }
     // Decide on the scalar records, then deep-copy only what is kept.
     if (bestOnly) {
       keepWinner(entries,
@@ -427,6 +423,15 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
     front.reserve(entries.size());
     for (const FrontierEntry& entry : entries) {
       front.push_back(materialize(entry, dp.arena));
+    }
+    // Last, as it hands the run's arena over to the stored fronts.
+    if (!dp.pending.empty()) {
+      dp.shareArena();
+      model_.withSelectorMemo([&](auto&) {
+        for (auto& [region, stored] : dp.pending) {
+          fronts->fronts.try_emplace(region, std::move(stored));
+        }
+      });
     }
   }
   if (support::trace::on()) {

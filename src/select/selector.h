@@ -6,12 +6,14 @@
 // the DP only where an area is compared against it: the Bb and ctrl-flow
 // config filters and combine()'s early break. A subtree whose comparisons
 // cut nothing computes the same front at every budget B >= M, the largest
-// area it compared. From a model's second selector run with one (α, prune
-// fraction, clock ratio), every cut-free subtree front is stored on the
-// model with its M and its logical Stats; a later run at a budget >= M
-// reuses it bit for bit, skipping that subtree's pre-pass walk and DP.
+// area it compared. Every Frontier run stores its cut-free subtree fronts
+// (Bb leaves aside) on the model, keyed by region within one (α, prune
+// fraction, clock ratio), with M and the subtree's logical Stats; a later
+// run at a budget >= M reuses such a front bit for bit, skipping that
+// subtree's pre-pass walk and DP.
 #pragma once
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "accel/model.h"
@@ -81,6 +83,20 @@ class CandidateSelector {
     /// one per admitted merge. Counted identically in both modes so
     /// exported metrics stay byte-identical across SelectMode.
     uint64_t arenaNodes() const { return singleConfigSolutions + combinePairs; }
+
+    /// Folds another run's or subtree's counts in: counters add, frontPeak
+    /// takes the max. A reused subtree adds its stored Stats this way, so a
+    /// field added above must be folded here too.
+    Stats& operator+=(const Stats& other) {
+      regionsVisited += other.regionsVisited;
+      regionsPruned += other.regionsPruned;
+      configsGenerated += other.configsGenerated;
+      combinePairs += other.combinePairs;
+      singleConfigSolutions += other.singleConfigSolutions;
+      frontPeak = std::max(frontPeak, other.frontPeak);
+      frontsReused += other.frontsReused;
+      return *this;
+    }
   };
 
   /// Runs Algorithm 1 and returns F[root]: the Pareto-optimal solution
@@ -127,10 +143,9 @@ class CandidateSelector {
   /// True when the DP prunes this region's subtree (the hotspot heuristic).
   bool prunes(const analysis::Region* region) const;
 
-  /// Counts this run on the model's memo and returns the parameter set's
-  /// stored fronts, or nullptr on the model's first run with these params:
-  /// that run looks up and stores nothing.
-  FrontSet* countRun() const;
+  /// The model's stored fronts for this selector's parameter set, created
+  /// empty on the first run with it.
+  FrontSet* frontSet() const;
 
   /// Pre-pass mirroring the DP traversal: records, in the DP's exact query
   /// order, every region the DP will ask candidates for, then batch-
@@ -166,8 +181,8 @@ class CandidateSelector {
                                     Stats& stats) const;
   /// Frontier DP over one subtree: splices in its stored front when the
   /// pre-pass marked it reusable, otherwise computes the front (queueing it
-  /// for storage when no budget comparison cut anything). Adds the
-  /// subtree's Tally into `parent`.
+  /// for storage when the region is not a Bb leaf and no budget comparison
+  /// cut anything). Adds the subtree's Tally into `parent`.
   std::vector<FrontierEntry> dpFrontier(const analysis::Region* region,
                                         Dp& dp, Tally& parent) const;
 
