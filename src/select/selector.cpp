@@ -121,14 +121,15 @@ struct CandidateSelector::StoredFront {
   Tally tally;
 };
 
-/// One (α, prune fraction, clock ratio) set: the fronts stored for it, at
-/// most one per region (any two cut-free fronts of a region are identical).
-/// Written and read only under the memo's lock; stored fronts are immutable
-/// and live as long as the model.
+/// One (α, prune fraction, clock ratio) set: the runs made with it and the
+/// fronts stored for it, at most one per region (any two cut-free fronts of
+/// a region are identical). Written and read only under the memo's lock;
+/// stored fronts are immutable and live as long as the model.
 struct CandidateSelector::FrontSet {
   double alpha = 0.0;
   double pruneHotFraction = 0.0;
   double clockRatio = 0.0;
+  uint64_t runs = 0;
   std::unordered_map<const Region*, std::unique_ptr<const StoredFront>>
       fronts;
 };
@@ -139,11 +140,13 @@ struct CandidateSelector::FrontMemo : accel::AcceleratorModel::SelectorMemo {
 
 /// One Frontier run's DP state.
 struct CandidateSelector::Dp {
-  Dp(const CandidateLists& lists, const ReuseMap& reuse)
-      : lists(lists), reuse(reuse) {}
+  Dp(const CandidateLists& lists, const ReuseMap& reuse, bool storing)
+      : lists(lists), reuse(reuse), storing(storing) {}
 
   const CandidateLists& lists;
   const ReuseMap& reuse;
+  /// Not the model's first run with these params: store cut-free fronts.
+  const bool storing;
   SolutionArena arena;
   uint64_t frontsReused = 0;
   /// Arena nodes the reused subtrees stand for, and the nodes splicing
@@ -176,7 +179,7 @@ struct CandidateSelector::Dp {
   }
 };
 
-CandidateSelector::FrontSet* CandidateSelector::frontSet() const {
+CandidateSelector::FrontSet* CandidateSelector::countRun() const {
   return model_.withSelectorMemo(
       [this](std::unique_ptr<accel::AcceleratorModel::SelectorMemo>& slot) {
         if (slot == nullptr) slot = std::make_unique<FrontMemo>();
@@ -197,7 +200,7 @@ CandidateSelector::FrontSet* CandidateSelector::frontSet() const {
           set->pruneHotFraction = params_.pruneHotFraction;
           set->clockRatio = params_.clockRatio;
         }
-        return set;
+        return set->runs++ == 0 ? nullptr : set;
       });
 }
 
@@ -370,7 +373,7 @@ std::vector<FrontierEntry> CandidateSelector::dpFrontier(
   }
   // A Bb leaf's front is rebuilt from its candidate list about as fast as
   // a stored copy is spliced in, so leaves are not stored.
-  if (!tally.cut && region->kind() != RegionKind::Bb) {
+  if (dp.storing && !tally.cut && region->kind() != RegionKind::Bb) {
     dp.pending.emplace_back(
         region, std::make_unique<StoredFront>(StoredFront{
                     front, nullptr, static_cast<int32_t>(arenaStart),
@@ -392,7 +395,7 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
   // The Reference engine, the differential oracle, never touches the
   // subtree-front memo.
   const bool reference = params_.mode == SelectMode::Reference;
-  FrontSet* fronts = reference ? nullptr : frontSet();
+  FrontSet* fronts = reference ? nullptr : countRun();
   CandidateLists lists;
   ReuseMap reuse;
   collectCandidates(fronts, lists, reuse);
@@ -407,7 +410,7 @@ std::vector<Solution> CandidateSelector::run(Stats& stats,
       });
     }
   } else {
-    Dp dp(lists, reuse);
+    Dp dp(lists, reuse, /*storing=*/fronts != nullptr);
     std::vector<FrontierEntry> entries =
         dpFrontier(model_.wpst().root(), dp, total);
     stats = total.stats;

@@ -6,11 +6,13 @@
 // the DP only where an area is compared against it: the Bb and ctrl-flow
 // config filters and combine()'s early break. A subtree whose comparisons
 // cut nothing computes the same front at every budget B >= M, the largest
-// area it compared. Every Frontier run stores its cut-free subtree fronts
-// (Bb leaves aside) on the model, keyed by region within one (α, prune
-// fraction, clock ratio), with M and the subtree's logical Stats; a later
-// run at a budget >= M reuses such a front bit for bit, skipping that
-// subtree's pre-pass walk and DP.
+// area it compared. From a model's second Frontier run with one (α, prune
+// fraction, clock ratio), every cut-free subtree front (Bb leaves aside) is
+// stored on the model, keyed by region within that parameter set, with M
+// and the subtree's logical Stats; a later run at a budget >= M reuses such
+// a front bit for bit, skipping that subtree's pre-pass walk and DP. A
+// model's first run with a parameter set only counts the run, so a model
+// evaluated once keeps nothing alive.
 #pragma once
 
 #include <algorithm>
@@ -143,9 +145,10 @@ class CandidateSelector {
   /// True when the DP prunes this region's subtree (the hotspot heuristic).
   bool prunes(const analysis::Region* region) const;
 
-  /// The model's stored fronts for this selector's parameter set, created
-  /// empty on the first run with it.
-  FrontSet* frontSet() const;
+  /// Counts this run on the model's memo and returns the parameter set's
+  /// stored fronts, or nullptr on the model's first run with these params:
+  /// that run looks up and stores nothing.
+  FrontSet* countRun() const;
 
   /// Pre-pass mirroring the DP traversal: records, in the DP's exact query
   /// order, every region the DP will ask candidates for, then batch-
@@ -181,8 +184,8 @@ class CandidateSelector {
                                     Stats& stats) const;
   /// Frontier DP over one subtree: splices in its stored front when the
   /// pre-pass marked it reusable, otherwise computes the front (queueing it
-  /// for storage when the region is not a Bb leaf and no budget comparison
-  /// cut anything). Adds the subtree's Tally into `parent`.
+  /// for storage on a storing run when the region is not a Bb leaf and no
+  /// budget comparison cut anything). Adds the subtree's Tally into `parent`.
   std::vector<FrontierEntry> dpFrontier(const analysis::Region* region,
                                         Dp& dp, Tally& parent) const;
 
